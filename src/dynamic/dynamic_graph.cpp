@@ -1,7 +1,6 @@
 #include "dynamic/dynamic_graph.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -76,17 +75,25 @@ DynamicGraph::apply(const MutationBatch &batch)
     const NodeId n = numNodes();
 
     // Phase 1: validate the whole batch against the projected edge
-    // multiset before touching anything. liveCount(src, dst) is the
-    // number of live (src, dst) instances now; the running delta map
-    // projects in-batch inserts and deletes forward.
-    std::map<std::pair<NodeId, NodeId>, std::int64_t> delta;
-    const auto live_count = [&](NodeId src, NodeId dst) {
-        std::int64_t count = 0;
-        for (NodeId t : outNeighbors(src))
-            if (t == dst)
-                ++count;
-        return count;
-    };
+    // multiset before touching anything. Every in-range (src, dst) pair
+    // the batch names gets one slot in a sorted flat table, seeded with
+    // its live count — an equal_range over dst's in-segment, which is
+    // sorted by source — and projected forward by in-batch inserts and
+    // deletes in batch order.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    pairs.reserve(batch.size());
+    for (const Mutation &m : batch)
+        if (m.src < n && m.dst < n)
+            pairs.emplace_back(m.src, m.dst);
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    std::vector<std::int64_t> projected(pairs.size());
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const auto sources = inNeighbors(pairs[k].second);
+        const auto [lo, hi] = std::equal_range(
+            sources.begin(), sources.end(), pairs[k].first);
+        projected[k] = hi - lo;
+    }
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Mutation &m = batch[i];
         if (m.src >= n)
@@ -97,19 +104,22 @@ DynamicGraph::apply(const MutationBatch &batch)
             rejectBatch(MutationErrorKind::TargetOutOfRange, i, m,
                         "target node out of range (graph has " +
                             std::to_string(n) + " nodes)");
-        const auto key = std::make_pair(m.src, m.dst);
+        std::int64_t &count =
+            projected[std::lower_bound(pairs.begin(), pairs.end(),
+                                       std::make_pair(m.src, m.dst)) -
+                      pairs.begin()];
         switch (m.kind) {
           case MutationKind::InsertEdge:
-            ++delta[key];
+            ++count;
             break;
           case MutationKind::DeleteEdge:
-            if (live_count(m.src, m.dst) + delta[key] <= 0)
+            if (count <= 0)
                 rejectBatch(MutationErrorKind::MissingEdge, i, m,
                             "no such edge to delete");
-            --delta[key];
+            --count;
             break;
           case MutationKind::UpdateWeight:
-            if (live_count(m.src, m.dst) + delta[key] <= 0)
+            if (count <= 0)
                 rejectBatch(MutationErrorKind::MissingEdge, i, m,
                             "no such edge to reweight");
             break;
@@ -120,15 +130,16 @@ DynamicGraph::apply(const MutationBatch &batch)
     // bit-for-bit unchanged.
     TIGR_FAULT_POINT(fault::Site::MutationApply);
 
-    // Phase 2: apply in order, recording per-vertex degree deltas for
-    // both arenas. Each mutation mirrors into the reverse arena in the
-    // same pass, preserving the counting-sort in-segment order.
-    std::map<NodeId, EdgeIndex> old_degrees;
-    std::map<NodeId, EdgeIndex> old_in_degrees;
+    // Phase 2: apply in order, recording each touched vertex's degree
+    // before the batch on both sides. Each mutation mirrors into the
+    // reverse arena in the same pass, preserving the counting-sort
+    // in-segment order.
     EpochDelta result;
+    result.touched.reserve(batch.size());
+    result.touchedIn.reserve(batch.size());
     for (const Mutation &m : batch) {
-        old_degrees.emplace(m.src, degrees_[m.src]);
-        old_in_degrees.emplace(m.dst, inDegrees_[m.dst]);
+        result.touched.push_back({m.src, degrees_[m.src], 0});
+        result.touchedIn.push_back({m.dst, inDegrees_[m.dst], 0});
         switch (m.kind) {
           case MutationKind::InsertEdge: {
             if (degrees_[m.src] == caps_[m.src])
@@ -143,17 +154,16 @@ DynamicGraph::apply(const MutationBatch &batch)
             // at the upper bound of m.src in the sorted in-segment.
             if (inDegrees_[m.dst] == inCaps_[m.dst])
                 relocateIn(m.dst, inDegrees_[m.dst] + 1);
-            const EdgeIndex ib = inBegins_[m.dst];
-            const EdgeIndex id = inDegrees_[m.dst];
-            EdgeIndex pos = ib;
-            while (pos < ib + id && inSources_[pos] <= m.src)
-                ++pos;
-            for (EdgeIndex j = ib + id; j > pos; --j) {
-                inSources_[j] = inSources_[j - 1];
-                inWeights_[j] = inWeights_[j - 1];
-            }
-            inSources_[pos] = m.src;
-            inWeights_[pos] = m.weight;
+            const auto sources = inSources_.begin() + inBegins_[m.dst];
+            const auto end = sources + inDegrees_[m.dst];
+            const auto pos = std::upper_bound(sources, end, m.src);
+            const auto wpos =
+                inWeights_.begin() + inBegins_[m.dst] + (pos - sources);
+            std::copy_backward(pos, end, end + 1);
+            std::copy_backward(wpos, wpos + (end - pos),
+                               wpos + (end - pos) + 1);
+            *pos = m.src;
+            *wpos = m.weight;
             ++inDegrees_[m.dst];
 
             ++liveEdges_;
@@ -161,32 +171,28 @@ DynamicGraph::apply(const MutationBatch &batch)
             break;
           }
           case MutationKind::DeleteEdge: {
-            const EdgeIndex begin = begins_[m.src];
-            const EdgeIndex end = begin + degrees_[m.src];
-            EdgeIndex e = begin;
-            while (targets_[e] != m.dst)
-                ++e;
             // Shift the remainder left: storage order within the
             // segment stays stable, matching what Csr::fromCoo of the
             // surgically edited edge list would produce.
-            for (EdgeIndex j = e; j + 1 < end; ++j) {
-                targets_[j] = targets_[j + 1];
-                weights_[j] = weights_[j + 1];
-            }
+            const auto targets = targets_.begin() + begins_[m.src];
+            const auto end = targets + degrees_[m.src];
+            const auto e = std::find(targets, end, m.dst);
+            const auto we = weights_.begin() + begins_[m.src] +
+                            (e - targets);
+            std::copy(e + 1, end, e);
+            std::copy(we + 1, we + (end - e), we);
             --degrees_[m.src];
 
             // Reverse mirror: the forward delete removed the first
             // (src, dst) instance, which is the first in-entry with
             // this source (equal sources keep forward slot order).
-            const EdgeIndex ib = inBegins_[m.dst];
-            const EdgeIndex iend = ib + inDegrees_[m.dst];
-            EdgeIndex ie = ib;
-            while (inSources_[ie] != m.src)
-                ++ie;
-            for (EdgeIndex j = ie; j + 1 < iend; ++j) {
-                inSources_[j] = inSources_[j + 1];
-                inWeights_[j] = inWeights_[j + 1];
-            }
+            const auto sources = inSources_.begin() + inBegins_[m.dst];
+            const auto iend = sources + inDegrees_[m.dst];
+            const auto ie = std::lower_bound(sources, iend, m.src);
+            const auto iwe =
+                inWeights_.begin() + inBegins_[m.dst] + (ie - sources);
+            std::copy(ie + 1, iend, ie);
+            std::copy(iwe + 1, iwe + (iend - ie), iwe);
             --inDegrees_[m.dst];
 
             --liveEdges_;
@@ -194,16 +200,19 @@ DynamicGraph::apply(const MutationBatch &batch)
             break;
           }
           case MutationKind::UpdateWeight: {
-            EdgeIndex e = begins_[m.src];
-            while (targets_[e] != m.dst)
-                ++e;
-            weights_[e] = m.weight;
+            const auto targets = targets_.begin() + begins_[m.src];
+            weights_[begins_[m.src] +
+                     (std::find(targets, targets + degrees_[m.src],
+                                m.dst) -
+                      targets)] = m.weight;
 
             // Reverse mirror of the forward first-match rule.
-            EdgeIndex ie = inBegins_[m.dst];
-            while (inSources_[ie] != m.src)
-                ++ie;
-            inWeights_[ie] = m.weight;
+            const auto sources = inSources_.begin() + inBegins_[m.dst];
+            inWeights_[inBegins_[m.dst] +
+                       (std::lower_bound(sources,
+                                         sources + inDegrees_[m.dst],
+                                         m.src) -
+                        sources)] = m.weight;
 
             ++result.reweights;
             break;
@@ -211,24 +220,30 @@ DynamicGraph::apply(const MutationBatch &batch)
         }
     }
 
+    // Sort the per-mutation records by vertex and keep each vertex's
+    // first one (its degree before the batch); the degree after is the
+    // live one.
+    const auto settle = [](std::vector<TouchedVertex> &touched,
+                           const std::vector<EdgeIndex> &degrees) {
+        std::stable_sort(touched.begin(), touched.end(),
+                         [](const TouchedVertex &a,
+                            const TouchedVertex &b) {
+                             return a.vertex < b.vertex;
+                         });
+        touched.erase(std::unique(touched.begin(), touched.end(),
+                                  [](const TouchedVertex &a,
+                                     const TouchedVertex &b) {
+                                      return a.vertex == b.vertex;
+                                  }),
+                      touched.end());
+        for (TouchedVertex &t : touched)
+            t.newDegree = degrees[t.vertex];
+    };
+    settle(result.touched, degrees_);
+    settle(result.touchedIn, inDegrees_);
+
     ++epoch_;
     result.epoch = epoch_;
-    result.touched.reserve(old_degrees.size());
-    for (const auto &[v, old_degree] : old_degrees) {
-        TouchedVertex touched;
-        touched.vertex = v;
-        touched.oldDegree = old_degree;
-        touched.newDegree = degrees_[v];
-        result.touched.push_back(touched);
-    }
-    result.touchedIn.reserve(old_in_degrees.size());
-    for (const auto &[v, old_degree] : old_in_degrees) {
-        TouchedVertex touched;
-        touched.vertex = v;
-        touched.oldDegree = old_degree;
-        touched.newDegree = inDegrees_[v];
-        result.touchedIn.push_back(touched);
-    }
     return result;
 }
 

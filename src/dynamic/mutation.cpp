@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <sstream>
 #include <utility>
+
+#include "dynamic/dynamic_graph.hpp"
 
 namespace tigr::dynamic {
 
@@ -76,14 +79,22 @@ mutationErrorKindName(MutationErrorKind kind)
     return "unknown";
 }
 
+namespace {
+
+/**
+ * The one generator implementation, over any edge source laid out as a
+ * dense CSR: @p offsets are the row offsets (size n + 1, n > 0) and
+ * @p target_at(src, slot) is the destination of dense slot @p slot,
+ * which @p src owns.
+ */
+template <typename TargetAt>
 MutationBatch
-generateBatch(const graph::Csr &graph, const GeneratorSpec &spec)
+generateOver(std::span<const EdgeIndex> offsets, TargetAt target_at,
+             const GeneratorSpec &spec)
 {
     MutationBatch batch;
-    const NodeId n = graph.numNodes();
-    if (n == 0)
-        return batch;
-    const EdgeIndex m = graph.numEdges();
+    const NodeId n = static_cast<NodeId>(offsets.size() - 1);
+    const EdgeIndex m = offsets[n];
     const Weight max_weight = spec.maxWeight == 0 ? 1 : spec.maxWeight;
     // The suffix-dominated regime: a nonzero hotSpan restricts insert
     // sources to [0, hot) and delete/reweight samples to the edge
@@ -92,7 +103,7 @@ generateBatch(const graph::Csr &graph, const GeneratorSpec &spec)
     const NodeId hot =
         spec.hotSpan == 0 ? n : std::min<NodeId>(spec.hotSpan, n);
     const EdgeIndex slot_bound =
-        spec.hotSpan == 0 ? m : graph.rowOffsets()[hot];
+        spec.hotSpan == 0 ? m : offsets[hot];
 
     // Deletes: sample distinct existing edge positions (so two deletes
     // never race for the same edge instance), in ascending order, then
@@ -130,12 +141,12 @@ generateBatch(const graph::Csr &graph, const GeneratorSpec &spec)
     {
         NodeId src = 0;
         for (EdgeIndex slot : delete_slots) {
-            while (graph.edgeEnd(src) <= slot)
+            while (offsets[src + 1] <= slot)
                 ++src;
             Mutation mutation;
             mutation.kind = MutationKind::DeleteEdge;
             mutation.src = src;
-            mutation.dst = graph.edgeTarget(slot);
+            mutation.dst = target_at(src, slot);
             deletes.push_back(mutation);
             deleted_pairs.emplace_back(mutation.src, mutation.dst);
         }
@@ -156,13 +167,11 @@ generateBatch(const graph::Csr &graph, const GeneratorSpec &spec)
              ++i) {
             const EdgeIndex slot =
                 bounded(draw(spec.seed, 2, i), slot_bound);
-            NodeId src = 0;
             // Binary search the offset array for the owning node.
-            const auto &offsets = graph.rowOffsets();
-            src = static_cast<NodeId>(
+            const NodeId src = static_cast<NodeId>(
                 std::upper_bound(offsets.begin(), offsets.end(), slot) -
                 offsets.begin() - 1);
-            const NodeId dst = graph.edgeTarget(slot);
+            const NodeId dst = target_at(src, slot);
             if (is_deleted(src, dst))
                 continue;
             Mutation mutation;
@@ -206,6 +215,39 @@ generateBatch(const graph::Csr &graph, const GeneratorSpec &spec)
         std::swap(batch[i - 1], batch[j]);
     }
     return batch;
+}
+
+} // namespace
+
+MutationBatch
+generateBatch(const graph::Csr &graph, const GeneratorSpec &spec)
+{
+    if (graph.numNodes() == 0)
+        return {};
+    return generateOver(
+        graph.rowOffsets(),
+        [&](NodeId, EdgeIndex slot) { return graph.edgeTarget(slot); },
+        spec);
+}
+
+MutationBatch
+generateBatch(const DynamicGraph &graph, const GeneratorSpec &spec)
+{
+    const NodeId n = graph.numNodes();
+    if (n == 0)
+        return {};
+    // Dense slot positions are a prefix sum of the live degrees: O(n)
+    // integers, no edge copy. Dense slot `slot` of `src` lives at the
+    // same offset inside src's arena segment.
+    std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
+    for (NodeId v = 0; v < n; ++v)
+        offsets[v + 1] = offsets[v] + graph.degree(v);
+    return generateOver(
+        offsets,
+        [&](NodeId src, EdgeIndex slot) {
+            return graph.outNeighbors(src)[slot - offsets[src]];
+        },
+        spec);
 }
 
 void

@@ -127,6 +127,17 @@ struct GeneratorSpec
 MutationBatch generateBatch(const graph::Csr &graph,
                             const GeneratorSpec &spec);
 
+class DynamicGraph;
+
+/**
+ * The same generator read straight off a live slack arena: dense slot
+ * positions come from a prefix sum of the live degrees (O(n) integers,
+ * no edge copy), so the batch is byte-identical to
+ * generateBatch(graph.toCsr(), spec) without materializing it.
+ */
+MutationBatch generateBatch(const DynamicGraph &graph,
+                            const GeneratorSpec &spec);
+
 /**
  * An ordered record of mutation batches with a text round-trip, so a
  * mutation stream can be captured once (tigr mutate --log) and

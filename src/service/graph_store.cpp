@@ -151,19 +151,9 @@ GraphStore::mutate(std::string_view name,
         result.repair = state.virtualizer->applyDelta(result.delta);
         result.virtualRepaired = true;
     }
-    if (state.reverseVirtualizer) {
-        // Time the mirror's repair separately: it is the marginal cost
-        // the reverse arena adds to the mutation path, surfaced as the
-        // wall-clock `mutation.reverse_repair_us` counter (metrics
-        // only; deterministic traces carry the repair counts instead).
-        const auto reverse_start = std::chrono::steady_clock::now();
+    if (state.reverseVirtualizer)
         result.reverseRepair =
             state.reverseVirtualizer->applyDelta(result.delta);
-        result.reverseRepairUs =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - reverse_start)
-                .count();
-    }
 
     // Publish the next epoch by marking the dense StoredGraph stale —
     // O(1); the next find/at/pin materializes it. Pinned readers of the

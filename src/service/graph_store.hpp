@@ -21,6 +21,13 @@
  * pinned snapshot never observes a mutation. Cache entries keyed by
  * (graph id, epoch) go stale rather than wrong — see
  * TransformCache::invalidateStale.
+ *
+ * Which calls may materialize a stale dense entry (an O(n + m) toCsr
+ * plus a copy of the virtual array): find, at, pin, and checkpoint
+ * (which snapshots through pin). Which never do: contains, peek,
+ * epochOf, arenaView and mutate — so the whole mutation path, from
+ * QueryScheduler::runBatch down to DynamicGraph::apply, reads only the
+ * live arena.
  */
 #pragma once
 
@@ -83,9 +90,6 @@ struct MutateResult
     /** Repair stats of the mirrored In-side virtual array (zero when
      *  the entry has no virtual section). */
     dynamic::RepairStats reverseRepair;
-    /** Wall-clock microseconds the reverse-side repair took (metrics
-     *  only — never folded into deterministic traces). */
-    double reverseRepairUs = 0.0;
     /** True when the entry carries a virtual array that was repaired. */
     bool virtualRepaired = false;
     /** The entry's epoch after the mutation. */
@@ -204,10 +208,10 @@ class GraphStore
      */
     ArenaView arenaView(std::string_view name) const;
 
-    /** True when @p name is registered. */
+    /** True when @p name is registered. Never materializes. */
     bool contains(std::string_view name) const
     {
-        return find(name) != nullptr;
+        return peek(name) != nullptr;
     }
 
     /**

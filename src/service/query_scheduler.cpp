@@ -517,7 +517,7 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
         materializers.emplace_back([this, name] { store_.pin(name); });
 
     std::unique_ptr<par::ThreadPool> build_pool;
-    if (par::resolveThreads(options_.buildThreads) > 1)
+    if (queued > 0 && par::resolveThreads(options_.buildThreads) > 1)
         build_pool = std::make_unique<par::ThreadPool>(
             options_.buildThreads);
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -600,7 +600,9 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
                         scopeKey(batch_seq, i), arena_served[i]);
         }
     };
-    if (workers_ > 1) {
+    // An ingest-only request (no admitted query) has nothing to drain:
+    // it spawns no pool.
+    if (workers_ > 1 && queued > 0) {
         par::ThreadPool pool(workers_);
         pool.run(drain);
     } else {
@@ -709,13 +711,16 @@ QueryScheduler::applyMutation(const MutationSpec &spec,
                "mutations require a scheduler over a mutable store");
         return;
     }
-    const StoredGraph *entry = mutableStore_->find(spec.graph);
-    if (!entry) {
+    // Nothing on the mutation path materializes the dense entry: the
+    // existence check, the epoch and the generated tail all read the
+    // live arena (or, before the first mutation, the dense entry that
+    // is current by definition).
+    if (!mutableStore_->contains(spec.graph)) {
         reject(ServiceErrorKind::InvalidQuery,
                "unknown graph '" + spec.graph + "'");
         return;
     }
-    const std::uint64_t epoch_before = entry->epoch;
+    const std::uint64_t epoch_before = mutableStore_->epochOf(spec.graph);
     result.epoch = epoch_before;
 
     // Generated tails are drawn against the graph's state *now*, so a
@@ -723,8 +728,13 @@ QueryScheduler::applyMutation(const MutationSpec &spec,
     // earlier specs in the same call mutated the graph.
     dynamic::MutationBatch batch = spec.mutations;
     if (spec.generate) {
+        const ArenaView view = mutableStore_->arenaView(spec.graph);
         dynamic::MutationBatch tail =
-            dynamic::generateBatch(entry->graph, *spec.generate);
+            view.graph
+                ? dynamic::generateBatch(*view.graph, *spec.generate)
+                : dynamic::generateBatch(
+                      mutableStore_->peek(spec.graph)->graph,
+                      *spec.generate);
         batch.insert(batch.end(), tail.begin(), tail.end());
     }
 
@@ -798,13 +808,6 @@ QueryScheduler::applyMutation(const MutationSpec &spec,
             }
         }
         metrics.counter("scheduler.mutations").add();
-        // Wall-clock cost of keeping the reverse-side virtual array in
-        // step. Metrics only — host timing never enters deterministic
-        // traces.
-        if (applied.virtualRepaired)
-            metrics.counter("mutation.reverse_repair_us")
-                .add(static_cast<std::uint64_t>(
-                    std::llround(applied.reverseRepairUs)));
     } catch (const fault::InjectedCrash &) {
         // A simulated process death is not a query failure: nothing
         // between here and the torture harness may absorb it.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -348,6 +349,103 @@ TEST(MutateQueryFuzz, MidBurstAdmissionNeverMaterializesTheDenseCopy)
     EXPECT_EQ(store.peek("g")->epoch, 0u);
     EXPECT_EQ(store.epochOf("g"), 1u);
     EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(MutateQueryFuzz, IngestBurstsNeverMaterializeTheDenseCopy)
+{
+    // Ingest requests — runBatch({mutation}, {}) — must read only the
+    // live arena: existence, epoch and the generated tail never go
+    // through find/at/pin, so a burst of them leaves the dense copy at
+    // the registered epoch however long it runs.
+    GraphStore store;
+    addVirtualEntry(store, "g", rmatGraph(131));
+    TransformCache cache(std::size_t{64} << 20);
+    SchedulerOptions options;
+    options.workers = 2;
+    QueryScheduler scheduler(store, cache, options);
+
+    const auto mutation = [](std::uint64_t seed) {
+        MutationSpec spec;
+        spec.graph = "g";
+        spec.generate = dynamic::GeneratorSpec{
+            .seed = seed, .inserts = 20, .deletes = 8, .reweights = 6};
+        return spec;
+    };
+    for (std::uint64_t burst = 1; burst <= 3; ++burst) {
+        const MutationSpec spec = mutation(burst);
+        const MutationBatchResult result = scheduler.runBatch(
+            std::span(&spec, 1), std::span<const QuerySpec>{});
+        ASSERT_EQ(result.mutations.size(), 1u);
+        EXPECT_TRUE(result.mutations[0].applied)
+            << result.mutations[0].message;
+        EXPECT_EQ(result.mutations[0].epoch, burst);
+        EXPECT_TRUE(result.queries.empty());
+    }
+
+    QuerySpec pull;
+    pull.graph = "g";
+    pull.algorithm = engine::Algorithm::Bfs;
+    pull.direction = engine::Direction::Pull;
+    pull.strategy = engine::Strategy::TigrVPlus;
+    pull.degreeBound = 8;
+    QuerySpec push = pull;
+    push.algorithm = engine::Algorithm::Sssp;
+    push.direction = engine::Direction::Push;
+    const std::vector<QuerySpec> queries{push, pull};
+    const MutationSpec fresh = mutation(4);
+    const MutationBatchResult result =
+        scheduler.runBatch(std::span(&fresh, 1), queries);
+    ASSERT_EQ(result.queries.size(), 2u);
+    for (const QueryResult &r : result.queries) {
+        EXPECT_EQ(r.outcome, QueryOutcome::Completed) << r.message;
+        EXPECT_TRUE(r.arenaServed);
+    }
+
+    EXPECT_TRUE(store.arenaView("g").staleDense);
+    ASSERT_NE(store.peek("g"), nullptr);
+    EXPECT_EQ(store.peek("g")->epoch, 0u);
+    EXPECT_EQ(store.epochOf("g"), 4u);
+}
+
+/** Registry digest of a reverse-virtualized store fed the plan's
+ *  mutations as ingest-only bursts, then mutate-and-query rounds. */
+std::uint64_t
+registryDigest(const std::vector<Round> &plan, unsigned workers)
+{
+    GraphStore store;
+    addVirtualEntry(store, "g", rmatGraph(131));
+    addVirtualEntry(store, "p", rmatGraph(132));
+    obs::MetricsRegistry registry;
+    TransformCache cache(std::size_t{64} << 20);
+    SchedulerOptions options;
+    options.workers = workers;
+    options.metrics = &registry;
+    QueryScheduler scheduler(store, cache, options);
+    for (const Round &round : plan) {
+        for (const MutationSpec &burst : round.mutations)
+            scheduler.runBatch(std::span(&burst, 1),
+                               std::span<const QuerySpec>{});
+        scheduler.runBatch(round.mutations, round.queries);
+    }
+    EXPECT_GT(registry.counter("scheduler.mutations").value(), 0u);
+    EXPECT_GT(registry.counter("scheduler.arena_served").value(), 0u);
+    return registry.digest();
+}
+
+TEST(MutateQueryFuzz, RegistryDigestIsWorkerAndRunInvariant)
+{
+    // The MetricsRegistry is deterministic by contract: no host timing
+    // may reach it, so the digest repeats across runs and worker
+    // counts.
+    const std::vector<Round> plan = generateRounds(5, 3);
+    const std::uint64_t want = registryDigest(plan, 1);
+    for (const unsigned workers : {1u, 2u, 8u}) {
+        for (int run = 0; run < 2; ++run) {
+            SCOPED_TRACE(std::to_string(workers) + " workers, run " +
+                         std::to_string(run));
+            EXPECT_EQ(registryDigest(plan, workers), want);
+        }
+    }
 }
 
 } // namespace

@@ -3,12 +3,24 @@
  * Tests for the Table 3 dataset stand-ins: shape fidelity to the paper's
  * datasets and the Section 5 K-selection heuristic.
  */
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "graph/datasets.hpp"
 #include "graph/stats.hpp"
 
 namespace tigr::graph {
+
+// gtest names each DatasetShape case in --gtest_list_tests (and so in
+// ctest) by printing its parameter. Without this overload it prints a
+// byte dump whose leading std::string pointer changes from run to run.
+void
+PrintTo(const DatasetSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace {
 
 TEST(Datasets, SixStandardDatasetsInPaperOrder)

@@ -722,7 +722,7 @@ cmdMutate(const CommandLine &cmd, std::ostream &out)
                 cmd.optionPositive("max-weight", 64));
             spec.hotSpan = static_cast<NodeId>(
                 cmd.optionU64("hot-span", 0));
-            batch = dynamic::generateBatch(dg.toCsr(), spec);
+            batch = dynamic::generateBatch(dg, spec);
         } else {
             std::optional<dynamic::MutationBatch> next = reader->next();
             if (!next)
