@@ -1,12 +1,11 @@
 #include "engine/arena_engine.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 
 #include "algorithms/semirings.hpp"
 #include "engine/arena_provider.hpp"
-#include "par/parallel_for.hpp"
+#include "engine/pagerank.hpp"
 
 namespace tigr::engine {
 
@@ -163,27 +162,6 @@ ArenaEngine::traceRunEnd(const RunInfo &info)
     end.arg[5] = info.stats.cycles;
     options_.trace->record(end);
     tracedCycles_ += info.stats.cycles;
-}
-
-void
-ArenaEngine::traceLoopIteration(unsigned iteration,
-                                std::uint64_t frontier,
-                                std::uint64_t units,
-                                const sim::KernelStats &before,
-                                const sim::KernelStats &after)
-{
-    obs::TraceEvent event;
-    event.tick = tracedCycles_ + after.cycles;
-    event.kind = obs::EventKind::Iteration;
-    event.arg[0] = iteration;
-    event.arg[1] = frontier;
-    event.arg[2] = 0;
-    event.arg[3] = units;
-    event.arg[4] = after.cycles - before.cycles;
-    event.arg[5] = after.instructions - before.instructions;
-    event.arg[6] = after.laneSlots - before.laneSlots;
-    event.arg[7] = after.memTransactions - before.memTransactions;
-    options_.trace->record(event);
 }
 
 template <typename Semiring>
@@ -345,205 +323,22 @@ ArenaEngine::cc()
 RanksResult
 ArenaEngine::pagerank(const PageRankOptions &pr_options)
 {
+    const auto host_start = std::chrono::steady_clock::now();
     const bool pull =
         pr_options.pull || options_.direction == Direction::Pull;
-    return pull ? pagerankPull(pr_options) : pagerankPush(pr_options);
-}
-
-RanksResult
-ArenaEngine::pagerankPush(const PageRankOptions &pr_options)
-{
-    const auto host_start = std::chrono::steady_clock::now();
+    const dynamic::GraphSide side =
+        pull ? dynamic::GraphSide::In : dynamic::GraphSide::Out;
     const NodeId n = graph_.numNodes();
-
-    RanksResult result;
-    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
     if (n == 0)
-        return result;
-    traceRunBegin(Algorithm::Pr, dynamic::GraphSide::Out);
-
-    std::vector<Rank> next(n);
-    const Rank base = (1.0 - pr_options.damping) / n;
-    const CostModel cost = costModelFor(options_.strategy);
-
-    withProvider(dynamic::GraphSide::Out, [&](const auto &provider) {
-        std::vector<WorkUnit> units;
-        provider.forEachUnit(
-            [&](const WorkUnit &unit) { units.push_back(unit); });
-
-        // Per-chunk add logs replayed serially in chunk order: the
-        // same float additions in the same order as a sequential
-        // unit-order sweep — and as GraphEngine's dense PR, whose
-        // units and chunking this path reproduces exactly.
-        std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-            par::chunkCount(units.size(), par::kDefaultGrain));
-
-        for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
-            if (options_.cancel &&
-                options_.cancel(result.info.iterations,
-                                result.info.stats.cycles)) {
-                result.info.cancelled = true;
-                result.info.converged = false;
-                break;
-            }
-            const sim::KernelStats trace_before = result.info.stats;
-            std::fill(next.begin(), next.end(), base);
-            par::forEachChunk(
-                pool_.get(), units.size(), par::kDefaultGrain,
-                [&](std::uint64_t chunk, std::uint64_t begin,
-                    std::uint64_t end, unsigned) {
-                    auto &adds = chunk_adds[chunk];
-                    adds.clear();
-                    for (std::uint64_t tid = begin; tid < end; ++tid) {
-                        const WorkUnit &unit = units[tid];
-                        const EdgeIndex d =
-                            graph_.degree(unit.valueNode);
-                        const Rank share =
-                            d == 0
-                                ? 0.0
-                                : pr_options.damping *
-                                      result.values[unit.valueNode] /
-                                      static_cast<Rank>(d);
-                        for (std::uint32_t j = 0; j < unit.count;
-                             ++j) {
-                            const EdgeIndex e =
-                                unit.start +
-                                static_cast<EdgeIndex>(unit.stride) *
-                                    j;
-                            adds.emplace_back(provider.edgeTarget(e),
-                                              share);
-                        }
-                    }
-                });
-            for (const auto &adds : chunk_adds)
-                for (const auto &[target, share] : adds)
-                    next[target] += share;
-            result.info.stats += sim_.launch(
-                units.size(),
-                [&](std::uint64_t tid) {
-                    const WorkUnit &unit = units[tid];
-                    sim::ThreadWork work;
-                    work.instructions = cost.threadOverhead +
-                                        cost.perEdge * unit.count;
-                    work.edgeCount = unit.count;
-                    work.edgeStart = unit.start;
-                    work.edgeStride = unit.stride;
-                    work.scatterAccessesPerEdge = 1;
-                    return work;
-                },
-                pool_.get());
-            result.values.swap(next);
-            ++result.info.iterations;
-            if (options_.trace)
-                traceLoopIteration(result.info.iterations, n,
-                                   units.size(), trace_before,
-                                   result.info.stats);
-            if (pr_options.epsilon > 0.0) {
-                double change = 0.0;
-                for (NodeId v = 0; v < n; ++v)
-                    change += std::abs(result.values[v] - next[v]);
-                if (change < pr_options.epsilon)
-                    break;
-            }
-        }
+        return {};
+    traceRunBegin(Algorithm::Pr, side);
+    RanksResult result = withProvider(side, [&](const auto &provider) {
+        return runPageRank(
+            provider, [&](NodeId v) { return graph_.degree(v); }, pull,
+            1, costModelFor(options_.strategy), n, pr_options, sim_,
+            pushOptions());
     });
-    fillRunInfo(result.info, dynamic::GraphSide::Out, Algorithm::Pr);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
-}
-
-RanksResult
-ArenaEngine::pagerankPull(const PageRankOptions &pr_options)
-{
-    const auto host_start = std::chrono::steady_clock::now();
-    const NodeId n = graph_.numNodes();
-
-    RanksResult result;
-    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
-    if (n == 0)
-        return result;
-    traceRunBegin(Algorithm::Pr, dynamic::GraphSide::In);
-
-    std::vector<Rank> next(n);
-    const Rank base = (1.0 - pr_options.damping) / n;
-    const CostModel cost = costModelFor(options_.strategy);
-
-    withProvider(dynamic::GraphSide::In, [&](const auto &provider) {
-        std::vector<WorkUnit> units;
-        provider.forEachUnit(
-            [&](const WorkUnit &unit) { units.push_back(unit); });
-
-        std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-            par::chunkCount(units.size(), par::kDefaultGrain));
-
-        for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
-            if (options_.cancel &&
-                options_.cancel(result.info.iterations,
-                                result.info.stats.cycles)) {
-                result.info.cancelled = true;
-                result.info.converged = false;
-                break;
-            }
-            const sim::KernelStats trace_before = result.info.stats;
-            std::fill(next.begin(), next.end(), base);
-            par::forEachChunk(
-                pool_.get(), units.size(), par::kDefaultGrain,
-                [&](std::uint64_t chunk, std::uint64_t begin,
-                    std::uint64_t end, unsigned) {
-                    auto &adds = chunk_adds[chunk];
-                    adds.clear();
-                    for (std::uint64_t tid = begin; tid < end; ++tid) {
-                        const WorkUnit &unit = units[tid];
-                        Rank sum = 0.0;
-                        for (std::uint32_t j = 0; j < unit.count;
-                             ++j) {
-                            const EdgeIndex e =
-                                unit.start +
-                                static_cast<EdgeIndex>(unit.stride) *
-                                    j;
-                            const NodeId u = provider.edgeTarget(e);
-                            sum += result.values[u] /
-                                   static_cast<Rank>(
-                                       graph_.degree(u));
-                        }
-                        adds.emplace_back(unit.valueNode,
-                                          pr_options.damping * sum);
-                    }
-                });
-            for (const auto &adds : chunk_adds)
-                for (const auto &[target, add] : adds)
-                    next[target] += add;
-            result.info.stats += sim_.launch(
-                units.size(),
-                [&](std::uint64_t tid) {
-                    const WorkUnit &unit = units[tid];
-                    sim::ThreadWork work;
-                    work.instructions = cost.threadOverhead +
-                                        cost.perEdge * unit.count;
-                    work.edgeCount = unit.count;
-                    work.edgeStart = unit.start;
-                    work.edgeStride = unit.stride;
-                    work.scatterAccessesPerEdge = 1;
-                    return work;
-                },
-                pool_.get());
-            result.values.swap(next);
-            ++result.info.iterations;
-            if (options_.trace)
-                traceLoopIteration(result.info.iterations, n,
-                                   units.size(), trace_before,
-                                   result.info.stats);
-            if (pr_options.epsilon > 0.0) {
-                double change = 0.0;
-                for (NodeId v = 0; v < n; ++v)
-                    change += std::abs(result.values[v] - next[v]);
-                if (change < pr_options.epsilon)
-                    break;
-            }
-        }
-    });
-    fillRunInfo(result.info, dynamic::GraphSide::In, Algorithm::Pr);
+    fillRunInfo(result.info, side, Algorithm::Pr);
     traceRunEnd(result.info);
     result.info.hostMs = elapsedMs(host_start);
     return result;

@@ -102,18 +102,11 @@ class ArenaEngine
                     NodeId, typename Semiring::Value>> seeds,
                 bool all_active, bool unit_weights);
 
-    RanksResult pagerankPush(const PageRankOptions &pr_options);
-    RanksResult pagerankPull(const PageRankOptions &pr_options);
-
     void fillRunInfo(RunInfo &info, dynamic::GraphSide side,
                      Algorithm algorithm) const;
 
     void traceRunBegin(Algorithm algorithm, dynamic::GraphSide side);
     void traceRunEnd(const RunInfo &info);
-    void traceLoopIteration(unsigned iteration, std::uint64_t frontier,
-                            std::uint64_t units,
-                            const sim::KernelStats &before,
-                            const sim::KernelStats &after);
 
     /** Invoke @p fn with the best provider of @p side: maintained when
      *  usable, on-the-fly otherwise. */

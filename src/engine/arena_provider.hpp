@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cassert>
-#include <utility>
 
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental_virtualizer.hpp"
@@ -291,55 +290,6 @@ class ArenaSideProvider
     NodeId degreeBound_;
     transform::EdgeLayout layout_;
     CostModel cost_;
-};
-
-/**
- * Weight-erasing adapter: same units and topology as the wrapped
- * provider, every edge weight 1. BFS over it equals BFS over the
- * unit-weight graph copy the dense engine builds, with no copy.
- */
-template <typename Provider>
-class UnitWeightProvider
-{
-  public:
-    explicit UnitWeightProvider(const Provider &inner) : inner_(&inner)
-    {
-    }
-
-    NodeId edgeTarget(EdgeIndex e) const
-    {
-        return inner_->edgeTarget(e);
-    }
-
-    Weight edgeWeight(EdgeIndex) const { return 1; }
-
-    NodeId numValueNodes() const { return inner_->numValueNodes(); }
-
-    const CostModel &cost() const { return inner_->cost(); }
-
-    bool ignoresWorklist() const { return inner_->ignoresWorklist(); }
-
-    std::uint64_t unitCountOf(NodeId v) const
-    {
-        return inner_->unitCountOf(v);
-    }
-
-    template <typename Fn>
-    void
-    forEachUnitOf(NodeId v, Fn &&fn) const
-    {
-        inner_->forEachUnitOf(v, std::forward<Fn>(fn));
-    }
-
-    template <typename Fn>
-    void
-    forEachUnit(Fn &&fn) const
-    {
-        inner_->forEachUnit(std::forward<Fn>(fn));
-    }
-
-  private:
-    const Provider *inner_;
 };
 
 } // namespace tigr::engine

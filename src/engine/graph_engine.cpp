@@ -7,6 +7,7 @@
 
 #include "algorithms/semirings.hpp"
 #include "engine/dynamic_provider.hpp"
+#include "engine/pagerank.hpp"
 #include "par/parallel_for.hpp"
 #include "graph/datasets.hpp"
 #include "transform/udt.hpp"
@@ -46,18 +47,22 @@ isVirtualStrategy(Strategy strategy)
 struct GraphEngine::Context
 {
     /** Owned graph storage when the context cannot reference the
-     *  engine's input directly (unit-weight copy, reversed graph). */
+     *  engine's input directly (TigrUdt's unit-weight copy, the
+     *  row-sorted copy). */
     std::optional<graph::Csr> ownedGraph;
     /** UDT transformation output (TigrUdt strategy only). */
     std::optional<transform::PhysicalTransformResult> udt;
+    /** Pull contexts: the reversed graph, its schedule and the
+     *  outdegrees — the injected cache entry, or a local build. */
+    std::shared_ptr<const SharedSchedule> reversed;
     /** The graph whose edges the schedule indexes. */
     const graph::Csr *scheduled = nullptr;
     /** Locally built work-unit decomposition (empty under dynamic
      *  mapping, which recomputes units instead of storing them, and
      *  when a shared schedule is in use). */
     Schedule ownedSchedule;
-    /** The decomposition analyses run over: &ownedSchedule, or an
-     *  externally cached SharedSchedule's. */
+    /** The decomposition analyses run over: &ownedSchedule, or a
+     *  SharedSchedule's. */
     const Schedule *schedule = &ownedSchedule;
     /** Host time spent building this context (a shared schedule
      *  reports its original build cost). */
@@ -65,9 +70,40 @@ struct GraphEngine::Context
     /** Set once a later analysis reuses this context (the
      *  RunInfo::transformCached satellite fix). */
     bool reusedFromCache = false;
-    /** Outdegrees of the original graph (pull contexts only). */
-    std::vector<EdgeIndex> outdegrees;
 };
+
+std::size_t
+SharedSchedule::sizeInBytes() const
+{
+    return schedule.sizeInBytes() +
+           (reversed ? reversed->sizeInBytes() : 0) +
+           outdegrees.size() * sizeof(EdgeIndex);
+}
+
+std::shared_ptr<SharedSchedule>
+SharedSchedule::build(const graph::Csr &graph, ScheduleSide side,
+                      Strategy strategy, NodeId degree_bound,
+                      unsigned mw_virtual_warp, par::ThreadPool *pool,
+                      bool with_schedule)
+{
+    const auto start = std::chrono::steady_clock::now();
+    auto entry = std::make_shared<SharedSchedule>();
+    const graph::Csr *scheduled = &graph;
+    if (side == ScheduleSide::Reversed) {
+        entry->reversed = graph.reversed();
+        entry->reversedFrom = &graph;
+        entry->outdegrees.resize(graph.numNodes());
+        for (NodeId v = 0; v < graph.numNodes(); ++v)
+            entry->outdegrees[v] = graph.degree(v);
+        scheduled = &*entry->reversed;
+    }
+    if (with_schedule)
+        entry->schedule = Schedule::build(*scheduled, strategy,
+                                          degree_bound, mw_virtual_warp,
+                                          pool);
+    entry->buildMs = elapsedMs(start);
+    return entry;
+}
 
 GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
                          std::shared_ptr<const SharedSchedule> shared)
@@ -95,6 +131,16 @@ GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
 GraphEngine::~GraphEngine() = default;
 
 GraphEngine::Context &
+GraphEngine::context(Algorithm algorithm, ContextKind forward_kind)
+{
+    return context(scheduleSide(algorithm, options_.strategy,
+                                options_.direction) ==
+                           ScheduleSide::Reversed
+                       ? ContextKind::PullReversed
+                       : forward_kind);
+}
+
+GraphEngine::Context &
 GraphEngine::context(ContextKind kind)
 {
     auto it = contexts_.find(kind);
@@ -106,25 +152,36 @@ GraphEngine::context(ContextKind kind)
     auto start = std::chrono::steady_clock::now();
     auto ctx = std::make_unique<Context>();
 
+    if (kind == ContextKind::PullReversed) {
+        // The reversed graph, its schedule and the outdegrees come as
+        // one entry: the scheduler's cached one, or built here.
+        if (sharedApplies(*ctx, ScheduleSide::Reversed)) {
+            ctx->reversed = shared_;
+            ctx->buildMs = shared_->buildMs;
+            ctx->reusedFromCache = true;
+        } else {
+            ctx->reversed = SharedSchedule::build(
+                graph_, ScheduleSide::Reversed, options_.strategy,
+                options_.degreeBound, options_.mwVirtualWarp,
+                pool_.get(), !options_.dynamicMapping);
+            ctx->buildMs = elapsedMs(start);
+        }
+        ctx->scheduled = &*ctx->reversed->reversed;
+        ctx->schedule = &ctx->reversed->schedule;
+        Context &ref = *ctx;
+        contexts_.emplace(kind, std::move(ctx));
+        return ref;
+    }
+
     // Pick the base graph for this analysis family.
     const graph::Csr *base = &graph_;
-    switch (kind) {
-      case ContextKind::WeightedZero:
-      case ContextKind::WeightedInf:
-        break;
-      case ContextKind::UnitZero:
-      case ContextKind::PullReversedUnit:
-        if (!allUnitWeights(graph_)) {
-            graph::CooEdges coo = graph_.toCoo();
-            for (graph::Edge &e : coo.edges())
-                e.weight = 1;
-            ctx->ownedGraph = graph::Csr::fromCoo(coo);
-            base = &*ctx->ownedGraph;
-        }
-        break;
-      case ContextKind::PullReversed:
-        break;
-      case ContextKind::SortedRows: {
+    if (kind == ContextKind::UnitZero && !allUnitWeights(graph_)) {
+        graph::CooEdges coo = graph_.toCoo();
+        for (graph::Edge &e : coo.edges())
+            e.weight = 1;
+        ctx->ownedGraph = graph::Csr::fromCoo(coo);
+        base = &*ctx->ownedGraph;
+    } else if (kind == ContextKind::SortedRows) {
         // Row-sorted copy: each node's neighbor list ascending, for
         // two-pointer set intersections.
         graph::CooEdges coo(graph_.numNodes());
@@ -142,27 +199,12 @@ GraphEngine::context(ContextKind kind)
         }
         ctx->ownedGraph = graph::Csr::fromCoo(coo);
         base = &*ctx->ownedGraph;
-        break;
-      }
     }
 
-    // Pull contexts schedule over the reversed graph and remember the
-    // original outdegrees (PageRank's rank shares, Corollary 4).
-    if (kind == ContextKind::PullReversed ||
-        kind == ContextKind::PullReversedUnit) {
-        ctx->ownedGraph = base->reversed();
-        base = &*ctx->ownedGraph;
-        ctx->outdegrees.resize(graph_.numNodes());
-        for (NodeId v = 0; v < graph_.numNodes(); ++v)
-            ctx->outdegrees[v] = graph_.degree(v);
-    }
-
-    // Physically transform for TigrUdt (push contexts only; pull and
-    // PR/BC refuse the strategy up front).
+    // Physically transform for TigrUdt (pull and PR/BC refuse the
+    // strategy up front).
     ctx->scheduled = base;
     if (options_.strategy == Strategy::TigrUdt &&
-        kind != ContextKind::PullReversed &&
-        kind != ContextKind::PullReversedUnit &&
         kind != ContextKind::SortedRows) {
         transform::SplitOptions split;
         split.degreeBound =
@@ -180,7 +222,7 @@ GraphEngine::context(ContextKind kind)
     // Under dynamic mapping the whole point is to store no unit array;
     // the provider recomputes families per use.
     if (!options_.dynamicMapping) {
-        if (shared_ && sharedApplies(*ctx)) {
+        if (sharedApplies(*ctx, ScheduleSide::Forward)) {
             ctx->schedule = &shared_->schedule;
             ctx->buildMs = shared_->buildMs;
             // The decomposition was built by an earlier engine: every
@@ -203,13 +245,33 @@ GraphEngine::context(ContextKind kind)
 }
 
 bool
-GraphEngine::sharedApplies(const Context &ctx) const
+GraphEngine::sharedApplies(const Context &ctx, ScheduleSide side) const
 {
-    const Schedule &s = shared_->schedule;
-    return ctx.scheduled == &graph_ && &s.graph() == &graph_ &&
-           s.strategy() == options_.strategy &&
-           s.degreeBound() == options_.degreeBound &&
-           s.mwVirtualWarp() == options_.mwVirtualWarp;
+    if (!shared_ || options_.dynamicMapping || shared_->side() != side)
+        return false;
+    const SharedSchedule &s = *shared_;
+    const bool same_graph =
+        side == ScheduleSide::Reversed
+            ? s.reversedFrom == &graph_
+            : ctx.scheduled == &graph_ && &s.schedule.graph() == &graph_;
+    return same_graph && s.schedule.strategy() == options_.strategy &&
+           s.schedule.degreeBound() == options_.degreeBound &&
+           s.schedule.mwVirtualWarp() == options_.mwVirtualWarp;
+}
+
+template <typename Fn>
+decltype(auto)
+GraphEngine::withProvider(const Context &ctx, Fn &&fn) const
+{
+    if (options_.dynamicMapping) {
+        const DynamicVirtualProvider provider(
+            *ctx.scheduled, options_.degreeBound,
+            options_.strategy == Strategy::TigrVPlus
+                ? transform::EdgeLayout::Coalesced
+                : transform::EdgeLayout::Consecutive);
+        return fn(provider);
+    }
+    return fn(*ctx.schedule);
 }
 
 PushOptions
@@ -274,55 +336,29 @@ GraphEngine::traceRunEnd(const RunInfo &info)
     tracedCycles_ += info.stats.cycles;
 }
 
-void
-GraphEngine::traceLoopIteration(unsigned iteration,
-                                std::uint64_t frontier,
-                                std::uint64_t units,
-                                const sim::KernelStats &before,
-                                const sim::KernelStats &after)
-{
-    obs::TraceEvent event;
-    event.tick = tracedCycles_ + after.cycles;
-    event.kind = obs::EventKind::Iteration;
-    event.arg[0] = iteration;
-    event.arg[1] = frontier;
-    event.arg[2] = 0;
-    event.arg[3] = units;
-    event.arg[4] = after.cycles - before.cycles;
-    event.arg[5] = after.instructions - before.instructions;
-    event.arg[6] = after.laneSlots - before.laneSlots;
-    event.arg[7] = after.memTransactions - before.memTransactions;
-    options_.trace->record(event);
-}
-
 template <typename Semiring>
 PushOutcome<Semiring>
 GraphEngine::runSemiring(
     Context &ctx,
     std::span<const std::pair<NodeId, typename Semiring::Value>> seeds,
-    bool all_active)
+    bool all_active, bool unit_weights)
 {
-    const bool pull = options_.direction == Direction::Pull;
     // The pull destination filter walks forward out-neighbors of a
     // changed node; the engine's input graph has that topology for
-    // every pull context (the unit-weight copy only rewrites weights,
-    // and pull refuses UDT up front).
+    // every pull context (pull refuses UDT up front).
     const graph::Csr *forward = &graph_;
-    if (options_.dynamicMapping) {
-        const auto layout = options_.strategy == Strategy::TigrVPlus
-                                ? transform::EdgeLayout::Coalesced
-                                : transform::EdgeLayout::Consecutive;
-        DynamicVirtualProvider provider(*ctx.scheduled,
-                                        options_.degreeBound, layout);
-        return pull ? runPull<Semiring>(provider, sim_, pushOptions(),
-                                        seeds, forward)
-                    : runPush<Semiring>(provider, sim_, pushOptions(),
-                                        seeds, all_active);
-    }
-    return pull ? runPull<Semiring>(*ctx.schedule, sim_, pushOptions(),
-                                    seeds, forward)
-                : runPush<Semiring>(*ctx.schedule, sim_, pushOptions(),
-                                    seeds, all_active);
+    return withProvider(ctx, [&](const auto &provider) {
+        auto run = [&](const auto &units) {
+            return options_.direction == Direction::Pull
+                       ? runPull<Semiring>(units, sim_, pushOptions(),
+                                           seeds, forward)
+                       : runPush<Semiring>(units, sim_, pushOptions(),
+                                           seeds, all_active);
+        };
+        if (unit_weights)
+            return run(UnitWeightProvider(provider));
+        return run(provider);
+    });
 }
 
 void
@@ -344,9 +380,7 @@ DistancesResult
 GraphEngine::sssp(NodeId source)
 {
     const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedZero);
+    Context &ctx = context(Algorithm::Sssp, ContextKind::WeightedZero);
     traceRunBegin(Algorithm::Sssp, ctx);
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
     auto outcome =
@@ -371,13 +405,16 @@ DistancesResult
 GraphEngine::bfs(NodeId source)
 {
     const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversedUnit
-                               : ContextKind::UnitZero);
+    // Hop counts are SSSP over unit weights. The weighted context
+    // serves them through UnitWeightProvider; only TigrUdt needs its
+    // own unit-weight copy, whose split adds zero-weight dumb edges.
+    const bool udt = options_.strategy == Strategy::TigrUdt;
+    Context &ctx = context(Algorithm::Bfs, udt ? ContextKind::UnitZero
+                                               : ContextKind::WeightedZero);
     traceRunBegin(Algorithm::Bfs, ctx);
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
     auto outcome =
-        runSemiring<algorithms::SsspSemiring>(ctx, seeds, false);
+        runSemiring<algorithms::SsspSemiring>(ctx, seeds, false, !udt);
 
     DistancesResult result;
     outcome.values.resize(graph_.numNodes());
@@ -398,9 +435,7 @@ WidthsResult
 GraphEngine::sswp(NodeId source)
 {
     const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedInf);
+    Context &ctx = context(Algorithm::Sswp, ContextKind::WeightedInf);
     traceRunBegin(Algorithm::Sswp, ctx);
     const std::pair<NodeId, Weight> seeds[] = {{source, kInfWeight}};
     auto outcome =
@@ -425,9 +460,7 @@ LabelsResult
 GraphEngine::cc()
 {
     const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(options_.direction == Direction::Pull
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedZero);
+    Context &ctx = context(Algorithm::Cc, ContextKind::WeightedZero);
     traceRunBegin(Algorithm::Cc, ctx);
     std::vector<std::pair<NodeId, NodeId>> seeds;
     seeds.reserve(graph_.numNodes());
@@ -459,255 +492,36 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
             "tigr: PageRank is unsupported under the physical UDT "
             "strategy (it changes outdegrees; see Corollary 4)");
     }
+    const auto host_start = std::chrono::steady_clock::now();
     // CuSha's shard engine is inherently pull-based (Section 6.2 of
     // the paper explains its PR advantage with exactly this); the
     // other engines, like the paper's Tigr implementation, push.
     const bool pull = pr_options.pull ||
-                      options_.strategy == Strategy::Cusha ||
-                      options_.direction == Direction::Pull;
-    return pull ? pagerankPull(pr_options) : pagerankPush(pr_options);
-}
-
-namespace {
-
-/** Materialize the full unit list of a context, through the stored
- *  schedule or through dynamic reasoning. */
-std::vector<WorkUnit>
-collectAllUnits(const Schedule &schedule, const graph::Csr &scheduled,
-                const EngineOptions &options)
-{
-    std::vector<WorkUnit> units;
-    if (options.dynamicMapping) {
-        const auto layout = options.strategy == Strategy::TigrVPlus
-                                ? transform::EdgeLayout::Coalesced
-                                : transform::EdgeLayout::Consecutive;
-        DynamicVirtualProvider provider(scheduled, options.degreeBound,
-                                        layout);
-        provider.forEachUnit(
-            [&](const WorkUnit &unit) { units.push_back(unit); });
-    } else {
-        schedule.forEachUnit(
-            [&](const WorkUnit &unit) { units.push_back(unit); });
-    }
-    return units;
-}
-
-/** Units of a single node, through either mapping mode. */
-void
-collectUnitsOf(const Schedule &schedule, const graph::Csr &scheduled,
-               const EngineOptions &options, NodeId v,
-               std::vector<WorkUnit> &out)
-{
-    if (options.dynamicMapping) {
-        const auto layout = options.strategy == Strategy::TigrVPlus
-                                ? transform::EdgeLayout::Coalesced
-                                : transform::EdgeLayout::Consecutive;
-        DynamicVirtualProvider provider(scheduled, options.degreeBound,
-                                        layout);
-        provider.forEachUnitOf(
-            v, [&](const WorkUnit &unit) { out.push_back(unit); });
-    } else {
-        schedule.forEachUnitOf(
-            v, [&](const WorkUnit &unit) { out.push_back(unit); });
-    }
-}
-
-} // namespace
-
-RanksResult
-GraphEngine::pagerankPush(const PageRankOptions &pr_options)
-{
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(ContextKind::WeightedZero);
-    const graph::Csr &g = *ctx.scheduled;
+                      scheduleSide(Algorithm::Pr, options_.strategy,
+                                   options_.direction) ==
+                          ScheduleSide::Reversed;
+    Context &ctx = context(pull ? ContextKind::PullReversed
+                                : ContextKind::WeightedZero);
     const NodeId n = graph_.numNodes();
-
-    RanksResult result;
-    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
     if (n == 0)
-        return result;
+        return {};
     traceRunBegin(Algorithm::Pr, ctx);
-
-    std::vector<Rank> next(n);
-    const Rank base = (1.0 - pr_options.damping) / n;
-    const CostModel cost = costModelFor(options_.strategy);
-    const std::vector<WorkUnit> units =
-        collectAllUnits(*ctx.schedule, g, options_);
-
-    // Per-chunk add logs: the semantic pass records every (target,
-    // share) contribution instead of accumulating into shared ranks,
-    // and the serial chunk-order replay below then performs the exact
-    // same float additions in the exact same order as a sequential
-    // unit-order sweep — ranks are bit-identical at any thread count.
-    std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-        par::chunkCount(units.size(), par::kDefaultGrain));
-
-    for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
-        if (options_.cancel &&
-            options_.cancel(result.info.iterations,
-                            result.info.stats.cycles)) {
-            result.info.cancelled = true;
-            result.info.converged = false;
-            break;
-        }
-        const sim::KernelStats trace_before = result.info.stats;
-        std::fill(next.begin(), next.end(), base);
-        par::forEachChunk(
-            pool_.get(), units.size(), par::kDefaultGrain,
-            [&](std::uint64_t chunk, std::uint64_t begin,
-                std::uint64_t end, unsigned) {
-                auto &adds = chunk_adds[chunk];
-                adds.clear();
-                for (std::uint64_t tid = begin; tid < end; ++tid) {
-                    const WorkUnit &unit = units[tid];
-                    const EdgeIndex d = graph_.degree(unit.valueNode);
-                    const Rank share =
-                        d == 0 ? 0.0
-                               : pr_options.damping *
-                                     result.values[unit.valueNode] /
-                                     static_cast<Rank>(d);
-                    for (std::uint32_t j = 0; j < unit.count; ++j) {
-                        const EdgeIndex e = unit.start +
-                            static_cast<EdgeIndex>(unit.stride) * j;
-                        adds.emplace_back(g.edgeTarget(e), share);
-                    }
-                }
-            });
-        for (const auto &adds : chunk_adds)
-            for (const auto &[target, share] : adds)
-                next[target] += share;
-        result.info.stats += sim_.launch(
-            units.size(),
-            [&](std::uint64_t tid) {
-                const WorkUnit &unit = units[tid];
-                sim::ThreadWork work;
-                work.instructions =
-                    cost.threadOverhead + cost.perEdge * unit.count;
-                work.edgeCount = unit.count;
-                work.edgeStart = unit.start;
-                work.edgeStride = unit.stride;
-                // All-active PR needs no frontier machinery, so even
-                // Gunrock's advance does one scattered atomicAdd per
-                // edge here.
-                work.scatterAccessesPerEdge = 1;
-                return work;
-            },
-            pool_.get());
-        result.values.swap(next);
-        ++result.info.iterations;
-        if (options_.trace)
-            traceLoopIteration(result.info.iterations, n, units.size(),
-                               trace_before, result.info.stats);
-        // Optional early convergence: `next` now holds the previous
-        // ranks, so the round's L1 change is directly computable.
-        if (pr_options.epsilon > 0.0) {
-            double change = 0.0;
-            for (NodeId v = 0; v < n; ++v)
-                change += std::abs(result.values[v] - next[v]);
-            if (change < pr_options.epsilon)
-                break;
-        }
-    }
-    fillRunInfo(result.info, ctx, Algorithm::Pr);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
-}
-
-RanksResult
-GraphEngine::pagerankPull(const PageRankOptions &pr_options)
-{
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(ContextKind::PullReversed);
-    const graph::Csr &reversed = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
-
-    RanksResult result;
-    result.values.assign(n, n == 0 ? 0.0 : 1.0 / n);
-    if (n == 0)
-        return result;
-    traceRunBegin(Algorithm::Pr, ctx);
-
-    std::vector<Rank> next(n);
-    const Rank base = (1.0 - pr_options.damping) / n;
-    const CostModel cost = costModelFor(options_.strategy);
-    const std::vector<WorkUnit> units =
-        collectAllUnits(*ctx.schedule, reversed, options_);
     // CuSha reads source values from sequential shard entries and
-    // writes windows sequentially: no scattered traffic at all. Other
-    // pull engines still gather ranks from scattered slots.
+    // writes windows sequentially: no scattered traffic at all. Every
+    // other engine gathers or scatters ranks through scattered slots;
+    // even Gunrock's all-active advance does one atomicAdd per edge.
     const std::uint32_t scatter =
-        options_.strategy == Strategy::Cusha ? 0 : 1;
-
-    // Per-chunk gather logs, replayed serially in chunk order: each
-    // unit's sum is accumulated locally in edge order (as in the
-    // serial sweep) and its single addition into the unit's own slot
-    // replays in unit order — bit-identical at any thread count.
-    std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-        par::chunkCount(units.size(), par::kDefaultGrain));
-
-    for (unsigned iter = 0; iter < pr_options.iterations; ++iter) {
-        if (options_.cancel &&
-            options_.cancel(result.info.iterations,
-                            result.info.stats.cycles)) {
-            result.info.cancelled = true;
-            result.info.converged = false;
-            break;
-        }
-        const sim::KernelStats trace_before = result.info.stats;
-        std::fill(next.begin(), next.end(), base);
-        par::forEachChunk(
-            pool_.get(), units.size(), par::kDefaultGrain,
-            [&](std::uint64_t chunk, std::uint64_t begin,
-                std::uint64_t end, unsigned) {
-                auto &adds = chunk_adds[chunk];
-                adds.clear();
-                for (std::uint64_t tid = begin; tid < end; ++tid) {
-                    const WorkUnit &unit = units[tid];
-                    Rank sum = 0.0;
-                    for (std::uint32_t j = 0; j < unit.count; ++j) {
-                        const EdgeIndex e = unit.start +
-                            static_cast<EdgeIndex>(unit.stride) * j;
-                        const NodeId u = reversed.edgeTarget(e);
-                        sum += result.values[u] /
-                               static_cast<Rank>(ctx.outdegrees[u]);
-                    }
-                    adds.emplace_back(unit.valueNode,
-                                      pr_options.damping * sum);
-                }
-            });
-        for (const auto &adds : chunk_adds)
-            for (const auto &[target, add] : adds)
-                next[target] += add;
-        result.info.stats += sim_.launch(
-            units.size(),
-            [&](std::uint64_t tid) {
-                const WorkUnit &unit = units[tid];
-                sim::ThreadWork work;
-                work.instructions =
-                    cost.threadOverhead + cost.perEdge * unit.count;
-                work.edgeCount = unit.count;
-                work.edgeStart = unit.start;
-                work.edgeStride = unit.stride;
-                work.scatterAccessesPerEdge = scatter;
-                return work;
+        pull && options_.strategy == Strategy::Cusha ? 0 : 1;
+    RanksResult result = withProvider(ctx, [&](const auto &provider) {
+        return runPageRank(
+            provider,
+            [&](NodeId v) {
+                return pull ? ctx.reversed->outdegrees[v]
+                            : graph_.degree(v);
             },
-            pool_.get());
-        result.values.swap(next);
-        ++result.info.iterations;
-        if (options_.trace)
-            traceLoopIteration(result.info.iterations, n, units.size(),
-                               trace_before, result.info.stats);
-        // Optional early convergence: `next` now holds the previous
-        // ranks, so the round's L1 change is directly computable.
-        if (pr_options.epsilon > 0.0) {
-            double change = 0.0;
-            for (NodeId v = 0; v < n; ++v)
-                change += std::abs(result.values[v] - next[v]);
-            if (change < pr_options.epsilon)
-                break;
-        }
-    }
+            pull, scatter, costModelFor(options_.strategy), n,
+            pr_options, sim_, pushOptions());
+    });
     fillRunInfo(result.info, ctx, Algorithm::Pr);
     traceRunEnd(result.info);
     result.info.hostMs = elapsedMs(host_start);
@@ -739,8 +553,12 @@ GraphEngine::bc(std::span<const NodeId> sources)
     // Launch the units of a node set, running `body` per owned edge.
     auto launch_nodes = [&](std::span<const NodeId> nodes, auto body) {
         std::vector<WorkUnit> launch_units;
-        for (NodeId v : nodes)
-            collectUnitsOf(*ctx.schedule, g, options_, v, launch_units);
+        withProvider(ctx, [&](const auto &provider) {
+            for (NodeId v : nodes)
+                provider.forEachUnitOf(v, [&](const WorkUnit &unit) {
+                    launch_units.push_back(unit);
+                });
+        });
         result.info.stats += sim_.launch(
             launch_units.size(), [&](std::uint64_t tid) {
                 const WorkUnit &unit = launch_units[tid];
@@ -838,8 +656,11 @@ GraphEngine::triangles()
     TrianglesResult result;
     result.perNode.assign(n, 0);
 
-    const std::vector<WorkUnit> units =
-        collectAllUnits(*ctx.schedule, g, options_);
+    std::vector<WorkUnit> units;
+    withProvider(ctx, [&](const auto &provider) {
+        provider.forEachUnit(
+            [&](const WorkUnit &unit) { units.push_back(unit); });
+    });
 
     // Chunked counting pass: per-chunk triangle totals and per-node
     // increment logs merge serially in chunk order (integer counters,

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -142,19 +143,57 @@ struct PageRankOptions
 /**
  * A work-unit schedule shared across engines, with the host cost of
  * its original build. The service layer's TransformCache hands these
- * to every engine it creates over the same (graph, strategy, K)
- * triple, so repeated queries reuse the virtual-node decomposition
+ * to every engine it creates over the same (graph, strategy, K, side)
+ * key, so repeated queries reuse the virtual-node decomposition
  * instead of rebuilding it (the amortization Table 7 of the paper is
  * about). The schedule must have been built over the exact Csr object
- * the engine is constructed with; the engine verifies this plus the
- * strategy/K/warp parameters and silently builds its own schedule on
- * any mismatch — a stale injection can cost time, never correctness.
+ * the engine is constructed with (or, for a reversed entry, over that
+ * object's reverse); the engine verifies this plus the strategy/K/warp
+ * parameters and silently builds its own context on any mismatch — a
+ * stale injection can cost time, never correctness.
  */
 struct SharedSchedule
 {
+    SharedSchedule() = default;
+    /** A reversed entry's schedule points into its own reversed
+     *  graph, so entries never copy. */
+    SharedSchedule(const SharedSchedule &) = delete;
+    SharedSchedule &operator=(const SharedSchedule &) = delete;
+
     Schedule schedule;
-    /** Host milliseconds of the original Schedule::build. */
+    /** Host milliseconds of the original build (the reversal
+     *  included, for a reversed entry). */
     double buildMs = 0.0;
+    /** Reversed entries only (pull analyses, CuSha PageRank): the
+     *  reversed graph the schedule indexes. Empty for a forward entry,
+     *  whose schedule indexes the input graph itself. */
+    std::optional<graph::Csr> reversed;
+    /** Reversed entries only: the input graph that was reversed. */
+    const graph::Csr *reversedFrom = nullptr;
+    /** Reversed entries only: the input graph's outdegrees (PageRank's
+     *  rank shares, Corollary 4). */
+    std::vector<EdgeIndex> outdegrees;
+
+    ScheduleSide
+    side() const
+    {
+        return reversed ? ScheduleSide::Reversed : ScheduleSide::Forward;
+    }
+
+    /** Heap bytes the entry holds — the schedule, plus a reversed
+     *  entry's graph and outdegrees: what the TransformCache budgets
+     *  against. */
+    std::size_t sizeInBytes() const;
+
+    /**
+     * Build the @p side entry of @p graph (kept by reference) and time
+     * it. @p with_schedule = false leaves the schedule empty: dynamic
+     * mapping needs only a reversed entry's graph and outdegrees.
+     */
+    static std::shared_ptr<SharedSchedule>
+    build(const graph::Csr &graph, ScheduleSide side, Strategy strategy,
+          NodeId degree_bound, unsigned mw_virtual_warp,
+          par::ThreadPool *pool = nullptr, bool with_schedule = true);
 };
 
 /**
@@ -170,9 +209,10 @@ class GraphEngine
     /**
      * @param graph Input graph (kept by reference).
      * @param options Strategy and tuning; see EngineOptions.
-     * @param shared Optional externally cached forward schedule (see
-     *        SharedSchedule); engines use it for analyses scheduled
-     *        directly over @p graph when it matches the options.
+     * @param shared Optional externally cached schedule (see
+     *        SharedSchedule): a forward entry serves the analyses
+     *        scheduled directly over @p graph, a reversed one the pull
+     *        analyses, whenever it matches the options.
      */
     explicit GraphEngine(const graph::Csr &graph,
                          EngineOptions options = {},
@@ -253,37 +293,40 @@ class GraphEngine
     /** Which cached schedule context an analysis needs. */
     enum class ContextKind
     {
-        WeightedZero,     ///< Graph weights, zero dumb weights
-                          ///< (SSSP, CC, BC, push PR).
-        UnitZero,         ///< Unit weights, zero dumb weights (BFS).
-        WeightedInf,      ///< Graph weights, infinite dumb weights
-                          ///< (SSWP).
-        PullReversed,     ///< Reversed graph (pull analyses, pull PR).
-        PullReversedUnit, ///< Reversed unit-weight graph (pull BFS).
-        SortedRows,       ///< Row-sorted copy (triangle counting).
+        WeightedZero, ///< Graph weights, zero dumb weights (SSSP, CC,
+                      ///< BC, push PR, and BFS through
+                      ///< UnitWeightProvider).
+        UnitZero,     ///< Unit weights, zero dumb weights: TigrUdt BFS,
+                      ///< whose split needs zero-weight dumb edges.
+        WeightedInf,  ///< Graph weights, infinite dumb weights (SSWP).
+        PullReversed, ///< Reversed graph (pull analyses, pull PR).
+        SortedRows,   ///< Row-sorted copy (triangle counting).
     };
 
     Context &context(ContextKind kind);
+    /** The context @p algorithm runs over (forward kinds:
+     *  @p forward_kind) on the side scheduleSide() picks. */
+    Context &context(Algorithm algorithm, ContextKind forward_kind);
     PushOptions pushOptions() const;
 
-    /** True when the injected shared schedule matches @p ctx (same
-     *  scheduled graph object and build parameters). */
-    bool sharedApplies(const Context &ctx) const;
+    /** True when the injected shared schedule can serve @p ctx: same
+     *  side, built over the engine's graph (or its reverse) with the
+     *  engine's parameters. */
+    bool sharedApplies(const Context &ctx, ScheduleSide side) const;
+
+    /** Invoke @p fn with @p ctx's unit provider: the stored schedule,
+     *  or the on-the-fly one under dynamic mapping. */
+    template <typename Fn>
+    decltype(auto) withProvider(const Context &ctx, Fn &&fn) const;
 
     /** Run a semiring analysis through the configured direction and
-     *  mapping mode (stored schedule or dynamic reasoning). */
+     *  mapping mode; @p unit_weights reads every edge weight as 1. */
     template <typename Semiring>
     PushOutcome<Semiring>
     runSemiring(Context &ctx,
                 std::span<const std::pair<
                     NodeId, typename Semiring::Value>> seeds,
-                bool all_active);
-
-    /** Push-based PR over the forward graph (the paper's Tigr PR). */
-    RanksResult pagerankPush(const PageRankOptions &pr_options);
-    /** Pull-based PR over the reversed graph (CuSha's shard PR, also
-     *  selectable via PageRankOptions::pull). */
-    RanksResult pagerankPull(const PageRankOptions &pr_options);
+                bool all_active, bool unit_weights = false);
 
     /** Fill the strategy/transform metadata of @p info from @p ctx. */
     void fillRunInfo(RunInfo &info, const Context &ctx,
@@ -296,15 +339,10 @@ class GraphEngine
      *  by the run's simulated cycles, keeping traces of consecutive
      *  analyses on one sink monotonic. */
     void traceRunEnd(const RunInfo &info);
-    /** Record one Iteration event of an engine-driven loop (PR). */
-    void traceLoopIteration(unsigned iteration, std::uint64_t frontier,
-                            std::uint64_t units,
-                            const sim::KernelStats &before,
-                            const sim::KernelStats &after);
 
     const graph::Csr &graph_;
     EngineOptions options_;
-    /** Externally cached forward schedule (may be null). */
+    /** Externally cached schedule (may be null). */
     std::shared_ptr<const SharedSchedule> shared_;
     sim::WarpSimulator sim_;
     /** Host worker pool shared by every analysis; null when the engine

@@ -56,6 +56,56 @@
 
 namespace tigr::engine {
 
+/**
+ * Weight-erasing adapter: same units and topology as the wrapped
+ * provider, every edge weight 1. BFS runs over it on the weighted
+ * schedule of any provider — dense, on-the-fly or arena — instead of
+ * over a unit-weight copy of the graph.
+ */
+template <typename Provider>
+class UnitWeightProvider
+{
+  public:
+    explicit UnitWeightProvider(const Provider &inner) : inner_(&inner)
+    {
+    }
+
+    NodeId edgeTarget(EdgeIndex e) const
+    {
+        return inner_->edgeTarget(e);
+    }
+
+    Weight edgeWeight(EdgeIndex) const { return 1; }
+
+    NodeId numValueNodes() const { return inner_->numValueNodes(); }
+
+    const CostModel &cost() const { return inner_->cost(); }
+
+    bool ignoresWorklist() const { return inner_->ignoresWorklist(); }
+
+    std::uint64_t unitCountOf(NodeId v) const
+    {
+        return inner_->unitCountOf(v);
+    }
+
+    template <typename Fn>
+    void
+    forEachUnitOf(NodeId v, Fn &&fn) const
+    {
+        inner_->forEachUnitOf(v, std::forward<Fn>(fn));
+    }
+
+    template <typename Fn>
+    void
+    forEachUnit(Fn &&fn) const
+    {
+        inner_->forEachUnit(std::forward<Fn>(fn));
+    }
+
+  private:
+    const Provider *inner_;
+};
+
 /** Iteration-control knobs of one push/pull run. */
 struct PushOptions
 {

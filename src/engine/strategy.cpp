@@ -53,6 +53,17 @@ algorithmName(Algorithm algorithm)
     return "?";
 }
 
+ScheduleSide
+scheduleSide(Algorithm algorithm, Strategy strategy, Direction direction)
+{
+    if (algorithm == Algorithm::Bc)
+        return ScheduleSide::Forward;
+    if (direction == Direction::Pull ||
+        (algorithm == Algorithm::Pr && strategy == Strategy::Cusha))
+        return ScheduleSide::Reversed;
+    return ScheduleSide::Forward;
+}
+
 CostModel
 costModelFor(Strategy strategy)
 {

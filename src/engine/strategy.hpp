@@ -126,6 +126,26 @@ enum class Direction
     Pull,
 };
 
+/** Which graph an analysis's schedule indexes. */
+enum class ScheduleSide
+{
+    /** The input graph (push analyses, BC). */
+    Forward,
+    /** Its reverse: a pull gather reads in-edges as the reversed
+     *  graph's out-edges. */
+    Reversed,
+};
+
+/**
+ * The side @p algorithm schedules over under @p strategy and
+ * @p direction: pull runs gather over the reversed graph, and CuSha's
+ * PageRank pulls whatever the direction (its shard engine is pull by
+ * construction); BC is forward-only. GraphEngine's context choice and
+ * the service scheduler's cache key both come from here.
+ */
+ScheduleSide scheduleSide(Algorithm algorithm, Strategy strategy,
+                          Direction direction);
+
 /** Engine tuning knobs. */
 struct EngineOptions
 {

@@ -6,7 +6,7 @@ namespace tigr::fault {
 
 namespace detail {
 
-thread_local Context *tlsContext = nullptr;
+constinit thread_local Context *tlsContext = nullptr;
 
 } // namespace detail
 

@@ -188,7 +188,9 @@ struct Context
     Context *previous = nullptr;
 };
 
-extern thread_local Context *tlsContext;
+/** constinit: a constant-initialized thread_local is read directly,
+ *  with no TLS init-wrapper call on the armed() fast path. */
+extern constinit thread_local Context *tlsContext;
 
 } // namespace detail
 

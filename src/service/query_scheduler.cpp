@@ -23,9 +23,9 @@ digestOf(const std::vector<T> &values)
     return graph::fnv1a64(values.data(), values.size() * sizeof(T));
 }
 
-/** True when a cached forward schedule can ever apply to this spec:
- *  TigrUdt engines schedule over the physically transformed graph, so
- *  a schedule over the original could never be reused. */
+/** True when a cached schedule can ever apply to this spec: TigrUdt
+ *  engines schedule over the physically transformed graph, so a
+ *  schedule over the original could never be reused. */
 bool
 cacheable(const QuerySpec &spec)
 {
@@ -456,13 +456,14 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
     }
 
     // Phase 2 — serial transform warm-up, in batch order: the first
-    // query of each (graph, strategy, K, warp) key is the miss that
-    // builds, every later one is a hit. Worker interleaving can no
-    // longer influence hit attribution or who pays the build. Warm-up
-    // failures never fail a query: they push it down the degradation
-    // ladder (dynamic mapping for the virtual strategies, an
-    // engine-local build otherwise) and the result self-reports
-    // `degraded`.
+    // query of each (graph, strategy, K, warp, side) key is the miss
+    // that builds, every later one is a hit; pull queries key the
+    // reversed side, whose entry also holds the reversed graph. Worker
+    // interleaving can no longer influence hit attribution or who pays
+    // the build. Warm-up failures never fail a query: they push it
+    // down the degradation ladder (dynamic mapping for the virtual
+    // strategies, an engine-local build otherwise) and the result
+    // self-reports `degraded`.
     std::vector<std::shared_ptr<const engine::SharedSchedule>>
         schedules(batch.size());
 
@@ -525,9 +526,12 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
             continue;
         const QuerySpec &spec = batch[i];
         const StoredGraph &entry = store_.at(spec.graph);
-        const TransformKey key{spec.graph, &entry.graph, spec.strategy,
-                               spec.degreeBound, spec.mwVirtualWarp,
-                               entry.epoch};
+        const TransformKey key{
+            spec.graph,         &entry.graph,
+            spec.strategy,      spec.degreeBound,
+            spec.mwVirtualWarp, entry.epoch,
+            engine::scheduleSide(spec.algorithm, spec.strategy,
+                                 spec.direction)};
         const std::size_t faults_before = results[i].faultTrace.size();
         fault::FaultScope scope(options_.faultPlan,
                                 scopeKey(batch_seq, i), 0,

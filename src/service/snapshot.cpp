@@ -309,6 +309,10 @@ struct MemCursor
     void
     read(void *dst, std::size_t bytes)
     {
+        // An empty section reads into an empty vector, whose data()
+        // may be null: memcpy must not see it.
+        if (bytes == 0)
+            return;
         if (bytes > size - pos)
             fail(SnapshotErrorKind::Truncated,
                  "snapshot ends mid-payload (file truncated?)");

@@ -1,23 +1,9 @@
 #include "service/transform_cache.hpp"
 
-#include <chrono>
-
 #include "fault/fault.hpp"
 #include "par/thread_pool.hpp"
 
 namespace tigr::service {
-
-namespace {
-
-double
-elapsedMs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
 
 TransformCache::TransformCache(std::size_t byte_budget,
                                obs::MetricsRegistry *metrics)
@@ -76,14 +62,12 @@ TransformCache::getOrBuild(const TransformKey &key,
 
     TIGR_FAULT_POINT(fault::Site::TransformBuild);
 
-    const auto start = std::chrono::steady_clock::now();
-    auto shared = std::make_shared<engine::SharedSchedule>();
-    shared->schedule = engine::Schedule::build(
-        *key.graph, key.strategy, key.degreeBound, key.mwVirtualWarp,
-        pool);
-    shared->buildMs = elapsedMs(start);
+    std::shared_ptr<const engine::SharedSchedule> shared =
+        engine::SharedSchedule::build(*key.graph, key.side, key.strategy,
+                                      key.degreeBound,
+                                      key.mwVirtualWarp, pool);
 
-    const std::size_t bytes = shared->schedule.sizeInBytes();
+    const std::size_t bytes = shared->sizeInBytes();
     if (bytes > byteBudget_)
         return shared; // oversized: hand out, don't retain
     // An injected insert failure likewise suppresses retention only —

@@ -32,7 +32,8 @@ namespace tigr::service {
 /**
  * Cache key: which decomposition a query needs. The graph id names the
  * store entry; the pointer pins the exact Csr object the schedule was
- * built over (engines verify it before reusing — see SharedSchedule).
+ * built over, or reversed (engines verify it before reusing — see
+ * SharedSchedule).
  * degreeBound doubles as the coalescing-relevant K; mwVirtualWarp only
  * matters for the MaximumWarp strategy but participates uniformly.
  */
@@ -48,6 +49,10 @@ struct TransformKey
      *  superseded epochs go stale (see invalidateStale) rather than
      *  ever being served for the new graph. */
     std::uint64_t epoch = 0;
+    /** Which side of @ref graph the schedule indexes
+     *  (engine::scheduleSide). A reversed entry also owns the reversed
+     *  graph and the outdegrees, and is charged for them. */
+    engine::ScheduleSide side = engine::ScheduleSide::Forward;
 
     friend bool operator==(const TransformKey &,
                            const TransformKey &) = default;
@@ -55,9 +60,9 @@ struct TransformKey
     operator<=>(const TransformKey &a, const TransformKey &b)
     {
         return std::tie(a.graphId, a.graph, a.strategy, a.degreeBound,
-                        a.mwVirtualWarp, a.epoch) <=>
+                        a.mwVirtualWarp, a.epoch, a.side) <=>
                std::tie(b.graphId, b.graph, b.strategy, b.degreeBound,
-                        b.mwVirtualWarp, b.epoch);
+                        b.mwVirtualWarp, b.epoch, b.side);
     }
 };
 
@@ -67,7 +72,8 @@ struct TransformCacheStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /** Bytes currently held (schedules' units + offsets arrays). */
+    /** Bytes currently held (SharedSchedule::sizeInBytes: units +
+     *  offsets arrays, plus reversed entries' graphs and outdegrees). */
     std::size_t bytes = 0;
     /** Entries currently held. */
     std::size_t entries = 0;
@@ -86,7 +92,7 @@ struct TransformCacheStats
 class TransformCache
 {
   public:
-    /** @param byte_budget Max resident schedule bytes; an entry larger
+    /** @param byte_budget Max resident entry bytes; an entry larger
      *  than the whole budget is built and returned but not retained.
      *  @param metrics Optional registry mirroring the cache counters
      *  (cache.hits / cache.misses / cache.evictions, plus cache.bytes

@@ -10,7 +10,9 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <stdexcept>
 
 namespace tigr::sim {
 
@@ -56,6 +58,22 @@ struct GpuConfig
      *  scale this repository runs at, so per-iteration overhead keeps
      *  the same *relative* weight as on the paper's testbed. */
     std::uint64_t kernelLaunchCycles = 64;
+
+    /** Throw std::invalid_argument unless the simulator can run this
+     *  configuration: warps and SMs must exist, and memSegmentBytes
+     *  must be a power of two (segment indices are computed with a
+     *  shift). */
+    void
+    validate() const
+    {
+        if (warpSize == 0 || numSms == 0)
+            throw std::invalid_argument(
+                "tigr: GpuConfig needs a nonzero warpSize and numSms");
+        if (!std::has_single_bit(memSegmentBytes))
+            throw std::invalid_argument(
+                "tigr: GpuConfig::memSegmentBytes must be a power of "
+                "two");
+    }
 };
 
 } // namespace tigr::sim

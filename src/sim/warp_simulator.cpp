@@ -25,24 +25,6 @@ WarpSimulator::simulateWarp(unsigned lanes, unsigned warp_size,
                             KernelStats &stats,
                             WarpScratch &scratch) const
 {
-    const std::vector<ThreadWork> &warp_lanes = scratch.lanes;
-    std::vector<std::uint64_t> &segment_scratch = scratch.segments;
-    // SIMD lockstep: the warp issues for as many steps as its deepest
-    // lane; finished lanes keep their slots occupied (Figure 3).
-    std::uint32_t max_instructions = 0;
-    std::uint32_t max_edges = 0;
-    std::uint64_t useful = 0;
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-        const ThreadWork &work = warp_lanes[lane];
-        max_instructions = std::max(max_instructions, work.instructions);
-        max_edges = std::max(max_edges, work.edgeCount);
-        useful += work.instructions;
-        stats.memAccesses += work.edgeCount;
-    }
-    stats.instructions += useful;
-    stats.laneSlots +=
-        static_cast<std::uint64_t>(max_instructions) * warp_size;
-
     // Memory model. Lanes fall into two regimes:
     //  - Interleaved lanes (stride > 1, or a single access): what
     //    matters is cross-lane coalescing within each lockstep step —
@@ -57,56 +39,33 @@ WarpSimulator::simulateWarp(unsigned lanes, unsigned warp_size,
     //    inter-step eviction by other warps re-fetches each segment
     //    sequentialReloadFactor times on average (capped at one
     //    transaction per access).
-    auto is_sequential = [](const ThreadWork &work) {
-        return work.edgeStride == 1 && work.edgeCount > 1;
-    };
-    std::uint64_t transactions = 0;
-    const std::uint64_t segment = config_.memSegmentBytes;
-    for (std::uint32_t j = 0; j < max_edges; ++j) {
-        segment_scratch.clear();
-        for (unsigned lane = 0; lane < lanes; ++lane) {
-            const ThreadWork &work = warp_lanes[lane];
-            if (j >= work.edgeCount || is_sequential(work))
-                continue;
-            std::uint64_t address =
-                (work.edgeStart + work.edgeStride * j) *
-                work.bytesPerEdge;
-            std::uint64_t seg = address / segment;
-            bool seen = false;
-            for (std::uint64_t s : segment_scratch) {
-                if (s == seg) {
-                    seen = true;
-                    break;
-                }
-            }
-            if (!seen)
-                segment_scratch.push_back(seg);
-        }
-        transactions += segment_scratch.size();
-    }
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-        const ThreadWork &work = warp_lanes[lane];
-        if (!is_sequential(work))
-            continue;
-        std::uint64_t bytes = static_cast<std::uint64_t>(work.edgeCount) *
-                              work.bytesPerEdge;
-        std::uint64_t segments = (bytes + segment - 1) / segment;
-        transactions += std::min<std::uint64_t>(
-            work.edgeCount, segments * config_.sequentialReloadFactor);
-    }
-    stats.memTransactions += transactions;
-
+    //
     // Scattered value-array traffic: Algorithm 2's update of
     // distance[edges[i].nbr] touches an effectively random segment per
     // edge regardless of how the edge array is laid out, so it charges
     // one transaction per lane-level edge access. This bandwidth term
     // is identical across strategies per edge and keeps the modeled
     // kernels memory-bound, as on real hardware.
+    //
+    // One pass classifies every lane: sequential lanes and the value
+    // traffic are charged in O(1) here, interleaved lanes become
+    // address streams for the lockstep steps below.
+    const std::uint64_t segment = config_.memSegmentBytes;
+    // SIMD lockstep: the warp issues for as many steps as its deepest
+    // lane; finished lanes keep their slots occupied (Figure 3).
+    std::uint32_t max_instructions = 0;
+    std::uint64_t useful = 0;
+    std::uint64_t transactions = 0;
     std::uint64_t value_transactions = 0;
-    if (config_.modelValueScatter) {
-        std::uint64_t windowed_bytes = 0;
-        for (unsigned lane = 0; lane < lanes; ++lane) {
-            const ThreadWork &work = warp_lanes[lane];
+    std::uint64_t windowed_bytes = 0;
+    std::uint32_t depth = 0; // deepest interleaved lane
+    unsigned streams = 0;
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+        const ThreadWork &work = scratch.lanes[lane];
+        max_instructions = std::max(max_instructions, work.instructions);
+        useful += work.instructions;
+        stats.memAccesses += work.edgeCount;
+        if (config_.modelValueScatter) {
             if (work.scatterAccessesPerEdge > 0) {
                 value_transactions +=
                     static_cast<std::uint64_t>(work.edgeCount) *
@@ -119,11 +78,75 @@ WarpSimulator::simulateWarp(unsigned lanes, unsigned warp_size,
                     static_cast<std::uint64_t>(work.edgeCount) * 4;
             }
         }
-        if (windowed_bytes > 0) {
-            value_transactions +=
-                (windowed_bytes * 2 + config_.memSegmentBytes - 1) /
-                config_.memSegmentBytes;
+        if (work.edgeCount == 0)
+            continue;
+        if (work.edgeStride == 1 && work.edgeCount > 1) {
+            const std::uint64_t bytes =
+                static_cast<std::uint64_t>(work.edgeCount) *
+                work.bytesPerEdge;
+            const std::uint64_t segments =
+                (bytes + segment - 1) >> segmentShift_;
+            transactions += std::min<std::uint64_t>(
+                work.edgeCount,
+                segments * config_.sequentialReloadFactor);
+            continue;
         }
+        // Slot (start + stride*j) sits at byte start*record +
+        // j*(stride*record): the same value modulo 2^64, so stepping
+        // the address reproduces the product exactly.
+        scratch.streams[streams++] = {
+            work.edgeStart * work.bytesPerEdge,
+            work.edgeStride * work.bytesPerEdge, work.edgeCount};
+        depth = std::max(depth, work.edgeCount);
+    }
+    stats.instructions += useful;
+    stats.laneSlots +=
+        static_cast<std::uint64_t>(max_instructions) * warp_size;
+
+    // Lockstep steps: one transaction per distinct segment the live
+    // streams touch. A segment equal to the previous lane's is a
+    // repeat, one above every segment seen this step is new, and only
+    // the rest needs a scan — exact in any lane order, and linear for
+    // the monotone addresses virtual families produce. Finished
+    // streams are compacted away, in order, as they end.
+    std::uint64_t *seen = scratch.segments.data();
+    WarpScratch::Stream *live = scratch.streams.data();
+    for (std::uint32_t j = 0; j < depth; ++j) {
+        unsigned distinct = 0;
+        unsigned kept = 0;
+        std::uint64_t last = 0;
+        std::uint64_t high = 0;
+        for (unsigned k = 0; k < streams; ++k) {
+            WarpScratch::Stream stream = live[k];
+            if (stream.count <= j)
+                continue;
+            const std::uint64_t seg = stream.address >> segmentShift_;
+            stream.address += stream.step;
+            live[kept++] = stream;
+            if (distinct == 0) {
+                seen[distinct++] = seg;
+                last = high = seg;
+                continue;
+            }
+            if (seg == last)
+                continue;
+            last = seg;
+            if (seg > high) {
+                seen[distinct++] = seg;
+                high = seg;
+                continue;
+            }
+            if (std::find(seen, seen + distinct, seg) == seen + distinct)
+                seen[distinct++] = seg;
+        }
+        streams = kept;
+        transactions += distinct;
+    }
+    stats.memTransactions += transactions;
+
+    if (windowed_bytes > 0) {
+        value_transactions +=
+            (windowed_bytes * 2 + segment - 1) >> segmentShift_;
     }
     stats.valueTransactions += value_transactions;
 

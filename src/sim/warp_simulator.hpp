@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -151,9 +152,14 @@ struct KernelStats
 class WarpSimulator
 {
   public:
+    /** @throws std::invalid_argument when @p config fails
+     *  GpuConfig::validate(). */
     explicit WarpSimulator(const GpuConfig &config = {})
         : config_(config)
     {
+        config_.validate();
+        segmentShift_ = static_cast<unsigned>(
+            std::countr_zero(config_.memSegmentBytes));
     }
 
     /** The configuration in use. */
@@ -175,7 +181,7 @@ class WarpSimulator
 
         const unsigned warp_size = config_.warpSize;
         smCycles_.assign(config_.numSms, 0);
-        scratch_.lanes.resize(warp_size);
+        scratch_.resize(warp_size);
 
         std::uint64_t warp_index = 0;
         for (std::uint64_t base = 0; base < num_threads;
@@ -245,7 +251,7 @@ class WarpSimulator
                 Partial &part = partials[chunk];
                 part.smCycles.assign(config_.numSms, 0);
                 WarpScratch &ws = scratch[worker];
-                ws.lanes.resize(warp_size);
+                ws.resize(warp_size);
                 for (std::uint64_t w = warp_begin; w < warp_end; ++w) {
                     const std::uint64_t base =
                         w * static_cast<std::uint64_t>(warp_size);
@@ -291,8 +297,28 @@ class WarpSimulator
      *  the parallel overload). */
     struct WarpScratch
     {
+        /** One interleaved lane still issuing edge loads: the byte
+         *  address of its next access, the bytes between accesses,
+         *  and its access count. */
+        struct Stream
+        {
+            std::uint64_t address = 0;
+            std::uint64_t step = 0;
+            std::uint32_t count = 0;
+        };
+
         std::vector<ThreadWork> lanes;
+        std::vector<Stream> streams;
         std::vector<std::uint64_t> segments;
+
+        /** Size every buffer for one warp; no step allocates. */
+        void
+        resize(unsigned warp_size)
+        {
+            lanes.resize(warp_size);
+            streams.resize(warp_size);
+            segments.resize(warp_size);
+        }
     };
 
     /** Warps per parallel-simulation chunk (4096 threads at warp 32);
@@ -307,6 +333,8 @@ class WarpSimulator
                                WarpScratch &scratch) const;
 
     GpuConfig config_;
+    /** log2(memSegmentBytes). */
+    unsigned segmentShift_ = 0;
     std::vector<std::uint64_t> smCycles_;
     WarpScratch scratch_;
 };

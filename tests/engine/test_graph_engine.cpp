@@ -186,11 +186,15 @@ TEST(GraphEngine, TransformCachedPerContextNotPerEngine)
     graph::Csr g = weightedGraph(49);
     GraphEngine engine(g, optionsFor(Strategy::TigrVPlus));
     auto sssp = engine.sssp(0);   // builds WeightedZero
-    auto bfs = engine.bfs(0);     // builds UnitZero — a fresh context
-    auto again = engine.bfs(1);   // reuses UnitZero
+    auto sswp = engine.sswp(0);   // builds WeightedInf — a fresh context
+    auto again = engine.sswp(1);  // reuses WeightedInf
+    // BFS reads the weighted context through unit weights: no context
+    // of its own, so it reuses SSSP's.
+    auto bfs = engine.bfs(0);
     EXPECT_FALSE(sssp.info.transformCached);
-    EXPECT_FALSE(bfs.info.transformCached);
+    EXPECT_FALSE(sswp.info.transformCached);
     EXPECT_TRUE(again.info.transformCached);
+    EXPECT_TRUE(bfs.info.transformCached);
 }
 
 TEST(GraphEngine, HostTimeReported)

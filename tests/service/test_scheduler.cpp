@@ -14,8 +14,10 @@
 #include "fault/fault.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "ref/oracles.hpp"
 #include "service/graph_store.hpp"
 #include "service/query_scheduler.hpp"
 #include "service/transform_cache.hpp"
@@ -456,6 +458,206 @@ TEST(QuerySchedulerObservability, EngineReuseKeepsSecondRunInfoClean)
     EXPECT_TRUE(pair[1].cacheHit);
     EXPECT_TRUE(pair[1].info.transformCached);
     EXPECT_EQ(pair[0].digest, pair[1].digest);
+}
+
+// --------------------------------------------------------------------
+// Side-keyed cache entries: pull queries (and CuSha PageRank) key the
+// reversed side, whose entry holds the reversed graph, its schedule and
+// the outdegrees.
+
+QuerySpec
+specOf(std::string graph, engine::Algorithm algorithm,
+       engine::Strategy strategy, engine::Direction direction,
+       NodeId source = 3)
+{
+    QuerySpec spec;
+    spec.graph = std::move(graph);
+    spec.algorithm = algorithm;
+    spec.strategy = strategy;
+    spec.direction = direction;
+    spec.source = source;
+    spec.degreeBound = 8;
+    spec.prIterations = 6;
+    return spec;
+}
+
+/** Forward and reversed queries over both graphs: every pull analysis
+ *  on both virtual strategies, CuSha PR (reversed whatever the
+ *  direction), BFS pushed through the weighted forward entry, and BC
+ *  (forward-only) asked to pull. */
+std::vector<QuerySpec>
+sidedBatch()
+{
+    using engine::Algorithm;
+    using engine::Direction;
+    using engine::Strategy;
+    std::vector<QuerySpec> batch;
+    for (const char *graph : {"rmat", "star"}) {
+        for (Strategy strategy : {Strategy::TigrVPlus, Strategy::TigrV}) {
+            for (Algorithm algorithm :
+                 {Algorithm::Bfs, Algorithm::Sssp, Algorithm::Sswp,
+                  Algorithm::Cc, Algorithm::Pr})
+                batch.push_back(specOf(graph, algorithm, strategy,
+                                       Direction::Pull,
+                                       static_cast<NodeId>(
+                                           batch.size() * 7)));
+            batch.push_back(specOf(graph, Algorithm::Bfs, strategy,
+                                   Direction::Push));
+            batch.push_back(specOf(graph, Algorithm::Bc, strategy,
+                                   Direction::Pull));
+        }
+        batch.push_back(specOf(graph, Algorithm::Pr, Strategy::Cusha,
+                               Direction::Push));
+        batch.push_back(specOf(graph, Algorithm::Sssp, Strategy::Cusha,
+                               Direction::Push));
+    }
+    return batch;
+}
+
+TEST(QuerySchedulerCache, PullQueryMissesOnItsReversedKeyOnly)
+{
+    TransformCache cache(std::size_t{64} << 20);
+    SchedulerOptions options;
+    options.workers = 2;
+    QueryScheduler scheduler(sharedStore(), cache, options);
+
+    const QuerySpec pull =
+        specOf("rmat", engine::Algorithm::Sssp,
+               engine::Strategy::TigrVPlus, engine::Direction::Pull);
+    const auto first = scheduler.runBatch(std::vector{pull});
+    ASSERT_EQ(first[0].outcome, QueryOutcome::Completed)
+        << first[0].message;
+    EXPECT_FALSE(first[0].cacheHit);
+    EXPECT_FALSE(first[0].info.transformCached);
+    TransformCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.entries, 1u);
+
+    // The one resident entry is the reversed one, charged for the
+    // reversed graph, its schedule and the outdegrees.
+    const graph::Csr &g = sharedStore().at("rmat").graph;
+    const auto reference = engine::SharedSchedule::build(
+        g, engine::ScheduleSide::Reversed, pull.strategy,
+        pull.degreeBound, pull.mwVirtualWarp);
+    EXPECT_EQ(stats.bytes, reference->sizeInBytes());
+    EXPECT_EQ(reference->sizeInBytes(),
+              reference->schedule.sizeInBytes() +
+                  g.reversed().sizeInBytes() +
+                  g.numNodes() * sizeof(EdgeIndex));
+    TransformKey key{"rmat",           &g,
+                     pull.strategy,    pull.degreeBound,
+                     pull.mwVirtualWarp, 0};
+    EXPECT_EQ(cache.get(key), nullptr) << "no forward entry was built";
+    key.side = engine::ScheduleSide::Reversed;
+    const auto reversed = cache.get(key);
+    ASSERT_NE(reversed, nullptr);
+    EXPECT_EQ(reversed->side(), engine::ScheduleSide::Reversed);
+    EXPECT_EQ(reversed->reversedFrom, &g);
+
+    // Another pull analysis over the same key is a hit that reports a
+    // cached transform; a push query misses on the forward key.
+    QuerySpec pull_bfs = pull;
+    pull_bfs.algorithm = engine::Algorithm::Bfs;
+    const QuerySpec push =
+        specOf("rmat", engine::Algorithm::Sssp,
+               engine::Strategy::TigrVPlus, engine::Direction::Push);
+    const auto second = scheduler.runBatch(std::vector{pull_bfs, push});
+    EXPECT_TRUE(second[0].cacheHit);
+    EXPECT_TRUE(second[0].info.transformCached);
+    EXPECT_FALSE(second[1].cacheHit);
+    EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(QuerySchedulerCache, SidedBatchIsWorkerInvariant)
+{
+    const std::vector<QuerySpec> batch = sidedBatch();
+    std::vector<QueryResult> reference;
+    {
+        TransformCache cache(std::size_t{256} << 20);
+        SchedulerOptions options;
+        options.workers = 1;
+        QueryScheduler scheduler(sharedStore(), cache, options);
+        reference = scheduler.runBatch(batch);
+    }
+    std::size_t hits = 0;
+    for (const QueryResult &r : reference) {
+        ASSERT_EQ(r.outcome, QueryOutcome::Completed) << r.message;
+        hits += r.cacheHit ? 1u : 0u;
+    }
+    // Per graph and virtual strategy, one forward and one reversed
+    // miss; per graph, one CuSha miss on each side.
+    EXPECT_EQ(batch.size() - hits, 2u * (2u * 2u + 2u));
+
+    for (unsigned workers : {2u, 8u}) {
+        TransformCache cache(std::size_t{256} << 20);
+        SchedulerOptions options;
+        options.workers = workers;
+        QueryScheduler scheduler(sharedStore(), cache, options);
+        const auto results = scheduler.runBatch(batch);
+        expectIdenticalResults(results, reference, workers);
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            EXPECT_EQ(results[i].metricsDigest,
+                      reference[i].metricsDigest)
+                << "query " << i << " at " << workers << " workers";
+    }
+}
+
+TEST(QuerySchedulerCache, PullQueriesAfterMutateAndPinMatchNewEpochOracles)
+{
+    GraphStore store;
+    store.add("g", rmatGraph());
+    TransformCache cache(std::size_t{64} << 20);
+    SchedulerOptions options;
+    options.workers = 2;
+    QueryScheduler scheduler(store, cache, options);
+
+    std::vector<QuerySpec> queries;
+    for (engine::Strategy strategy :
+         {engine::Strategy::TigrVPlus, engine::Strategy::TigrV})
+        for (engine::Algorithm algorithm :
+             {engine::Algorithm::Bfs, engine::Algorithm::Sssp})
+            queries.push_back(specOf("g", algorithm, strategy,
+                                     engine::Direction::Pull, 5));
+    auto expectOracles = [&](const std::vector<QueryResult> &results) {
+        const graph::Csr &g = store.at("g").graph;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            SCOPED_TRACE("query " + std::to_string(i));
+            ASSERT_EQ(results[i].outcome, QueryOutcome::Completed)
+                << results[i].message;
+            const std::vector<Dist> oracle =
+                queries[i].algorithm == engine::Algorithm::Bfs
+                    ? ref::bfsHops(g, queries[i].source)
+                    : ref::dijkstra(g, queries[i].source);
+            EXPECT_EQ(results[i].digest,
+                      graph::fnv1a64(oracle.data(),
+                                     oracle.size() * sizeof(Dist)));
+        }
+    };
+    const auto before = scheduler.runBatch({}, queries);
+    expectOracles(before.queries);
+
+    // Several epochs, each pinned so the queries take the dense,
+    // cached path over a freshly materialized graph.
+    for (std::uint64_t round = 1; round <= 3; ++round) {
+        SCOPED_TRACE("epoch " + std::to_string(round));
+        MutationSpec mutation;
+        mutation.graph = "g";
+        mutation.generate = dynamic::GeneratorSpec{
+            .seed = round, .inserts = 40, .deletes = 25};
+        const auto mutated =
+            scheduler.runBatch(std::vector{mutation}, {});
+        ASSERT_TRUE(mutated.mutations[0].applied)
+            << mutated.mutations[0].message;
+        store.pin("g");
+        const auto after = scheduler.runBatch({}, queries);
+        for (const QueryResult &r : after.queries) {
+            EXPECT_FALSE(r.arenaServed);
+        }
+        EXPECT_FALSE(after.queries[0].cacheHit)
+            << "a new epoch keys a fresh reversed entry";
+        expectOracles(after.queries);
+    }
 }
 
 } // namespace
