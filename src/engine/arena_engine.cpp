@@ -40,9 +40,7 @@ ArenaEngine::ArenaEngine(
             "(tigr-v / tigr-v+); every other strategy needs a dense "
             "materialization");
     }
-    const unsigned threads = par::resolveThreads(options_.threads);
-    if (threads > 1)
-        pool_ = std::make_unique<par::ThreadPool>(threads);
+    pool_ = enginePool(options_);
 }
 
 ArenaEngine::~ArenaEngine() = default;

@@ -105,14 +105,22 @@ SharedSchedule::build(const graph::Csr &graph, ScheduleSide side,
     return entry;
 }
 
+std::unique_ptr<par::ThreadPool>
+enginePool(const EngineOptions &options)
+{
+    if (options.pool)
+        return std::make_unique<par::ThreadPool>(*options.pool);
+    const unsigned threads = par::resolveThreads(options.threads);
+    return threads > 1 ? std::make_unique<par::ThreadPool>(threads)
+                       : nullptr;
+}
+
 GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
                          std::shared_ptr<const SharedSchedule> shared)
     : graph_(graph), options_(std::move(options)),
       shared_(std::move(shared)), sim_(options_.gpu)
 {
-    const unsigned threads = par::resolveThreads(options_.threads);
-    if (threads > 1)
-        pool_ = std::make_unique<par::ThreadPool>(threads);
+    pool_ = enginePool(options_);
     if (options_.dynamicMapping &&
         !isVirtualStrategy(options_.strategy)) {
         throw std::invalid_argument(

@@ -196,6 +196,11 @@ struct SharedSchedule
           par::ThreadPool *pool = nullptr, bool with_schedule = true);
 };
 
+/** The pool an engine runs its parallel passes on: a borrowing handle
+ *  on EngineOptions::pool when set, else an owned pool of
+ *  EngineOptions::threads, or null when that resolves to one thread. */
+std::unique_ptr<par::ThreadPool> enginePool(const EngineOptions &options);
+
 /**
  * Vertex-centric graph analytics engine over the simulated GPU.
  *
@@ -230,7 +235,8 @@ class GraphEngine
     const EngineOptions &options() const { return options_; }
 
     /** Host threads the engine actually runs with (after resolving
-     *  EngineOptions::threads through TIGR_THREADS / hardware). */
+     *  EngineOptions::threads through TIGR_THREADS / hardware, or the
+     *  borrowed pool's size). */
     unsigned hostThreads() const
     {
         return pool_ ? pool_->threads() : 1;
@@ -345,8 +351,8 @@ class GraphEngine
     /** Externally cached schedule (may be null). */
     std::shared_ptr<const SharedSchedule> shared_;
     sim::WarpSimulator sim_;
-    /** Host worker pool shared by every analysis; null when the engine
-     *  resolved to a single thread. */
+    /** Host worker pool shared by every analysis (see enginePool);
+     *  null when the engine resolved to a single thread. */
     std::unique_ptr<par::ThreadPool> pool_;
     std::map<ContextKind, std::unique_ptr<Context>> contexts_;
     /** Simulated cycles of all completed traced runs: the tick base of

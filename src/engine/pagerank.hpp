@@ -18,10 +18,14 @@
  * deltas see the same numbers.
  *
  * Float order. A serial run adds every contribution straight into the
- * next ranks, in unit order (and edge order within a unit). With a
- * pool, each chunk logs its contributions and a serial replay in chunk
- * order performs the same additions in the same order, so ranks are
- * bit-identical at any thread count; the logs exist only then.
+ * next ranks, in unit order (and edge order within a unit). With an
+ * owned pool, each chunk logs its contributions and a serial replay in
+ * chunk order performs the same additions in the same order, so ranks
+ * are bit-identical at any thread count; the logs exist only then. A
+ * borrowed pool keeps the serial scatter: its helpers come and go,
+ * while logging charges every contribution an extra write and a
+ * replay. The share pass and the one-time launch simulation use either
+ * pool.
  */
 #pragma once
 
@@ -69,7 +73,8 @@ runPageRank(const Provider &provider, DegreeOf &&degree_of, bool pull,
     }
 
     par::ThreadPool *pool = options.pool;
-    const bool logged = pool != nullptr && pool->threads() > 1;
+    const bool logged =
+        pool != nullptr && pool->threads() > 1 && !pool->borrowed();
     const std::uint64_t grain = par::kDefaultGrain;
 
     RanksResult result;

@@ -22,6 +22,10 @@
 #include "graph/types.hpp"
 #include "sim/gpu_config.hpp"
 
+namespace tigr::par {
+class ThreadPool;
+} // namespace tigr::par
+
 namespace tigr::obs {
 class TraceSink;
 }
@@ -179,10 +183,19 @@ struct EngineOptions
     CancelCheck cancel;
     /** Host threads executing the engine's parallel passes: 0 = the
      *  TIGR_THREADS / hardware-concurrency default, 1 = serial, N > 1
-     *  = a pool of N. Every analysis is chunk-deterministic — results,
-     *  iteration counts, and simulator counters are identical for any
-     *  value (see docs/parallelism.md). */
+     *  = a pool of N (at most par::kMaxThreads). Every analysis is
+     *  chunk-deterministic — results, iteration counts, and simulator
+     *  counters are identical for any value (see docs/parallelism.md).
+     *  Ignored when `pool` is set. */
     unsigned threads = 0;
+    /** A pool to borrow instead of owning one: the engine's parallel
+     *  passes run on the calling thread, and whichever of the pool's
+     *  threads are free join their chunk loops (par::ThreadPool's
+     *  lending). The engine then owns no threads, and its results are
+     *  the same as at any `threads` value. Two passes stay on the
+     *  calling thread: PageRank's scatter and all of BC. The pool must
+     *  outlive the engine. Null = own a pool sized by `threads`. */
+    par::ThreadPool *pool = nullptr;
     /** Frontier representation of worklist iterations: dense bitmap,
      *  compacted sparse list, or the per-iteration adaptive switch.
      *  Values and iteration counts are identical for every mode (see

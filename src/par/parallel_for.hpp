@@ -4,15 +4,16 @@
  *
  * Every loop here cuts [0, count) into ceil(count/grain) fixed chunks —
  * a decomposition that depends only on the item count and the grain,
- * never on the number of threads — and deals chunks round-robin to
- * workers. A caller that writes results into per-*chunk* slots and
- * reduces them in ascending chunk order therefore computes exactly the
- * same answer on 1, 2, or 64 threads; see docs/parallelism.md for the
- * full contract.
+ * never on the number of threads — and workers claim chunks from a
+ * shared counter. A caller that writes results into per-*chunk* slots
+ * and reduces them in ascending chunk order therefore computes exactly
+ * the same answer on 1, 2, or 64 threads, whichever thread ran which
+ * chunk; see docs/parallelism.md for the full contract.
  */
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -37,11 +38,12 @@ chunkCount(std::uint64_t count, std::uint64_t grain = kDefaultGrain)
 
 /**
  * Invoke body(chunk, begin, end, worker) once per chunk of [0, count).
- * Chunks are dealt round-robin to the pool's workers; each worker runs
- * its chunks in ascending chunk order. A null pool (or a 1-thread
- * pool, or a single chunk) runs every chunk on the calling thread, in
- * chunk order — the same chunk structure, so the determinism contract
- * holds by construction.
+ * The pool's workers claim chunks from an atomic counter, so each
+ * worker runs its chunks in ascending chunk order, and a borrowed
+ * pool's owner runs every chunk alone when no helper joins. A null
+ * pool (or a 1-thread pool, or a single chunk) runs every chunk on the
+ * calling thread, in chunk order — the same chunk structure, so the
+ * determinism contract holds by construction.
  */
 template <typename Body>
 void
@@ -64,9 +66,12 @@ forEachChunk(ThreadPool *pool, std::uint64_t count, std::uint64_t grain,
             run_chunk(chunk, 0);
         return;
     }
+    std::atomic<std::uint64_t> next{0};
     pool->run([&](unsigned worker) {
-        for (std::uint64_t chunk = worker; chunk < chunks;
-             chunk += nthreads)
+        for (std::uint64_t chunk =
+                 next.fetch_add(1, std::memory_order_relaxed);
+             chunk < chunks;
+             chunk = next.fetch_add(1, std::memory_order_relaxed))
             run_chunk(chunk, worker);
     });
 }
@@ -88,7 +93,9 @@ parallelFor(ThreadPool *pool, std::uint64_t count, std::uint64_t grain,
 }
 
 /** One scratch slot per worker of a pool (slot 0 for a null pool).
- *  Index it with the worker id the loop body receives. */
+ *  Index it with the worker id the loop body receives. Which chunks a
+ *  worker id runs varies from run to run, so a slot is scratch only:
+ *  nothing that reaches a result may carry over between chunks. */
 template <typename T>
 class PerWorker
 {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "engine/arena_engine.hpp"
@@ -143,17 +144,28 @@ QueryScheduler::QueryScheduler(const GraphStore &store,
                                SchedulerOptions options)
     : store_(store), cache_(cache), options_(options),
       workers_(par::resolveThreads(options.workers)),
+      buildThreads_(par::resolveThreads(options.buildThreads)),
+      pool_(workers_ > 1 ? std::make_unique<par::ThreadPool>(workers_)
+                         : nullptr),
       breaker_(options.breaker)
 {
 }
 
 QueryScheduler::QueryScheduler(GraphStore &store, TransformCache &cache,
                                SchedulerOptions options)
-    : store_(store), mutableStore_(&store), cache_(cache),
-      options_(options),
-      workers_(par::resolveThreads(options.workers)),
-      breaker_(options.breaker)
+    : QueryScheduler(static_cast<const GraphStore &>(store), cache,
+                     std::move(options))
 {
+    mutableStore_ = &store;
+}
+
+QueryScheduler::~QueryScheduler() = default;
+
+QueryScheduler::CostKey
+QueryScheduler::costKey(const QuerySpec &spec)
+{
+    return {spec.graph, spec.strategy, spec.degreeBound, spec.algorithm,
+            spec.direction};
 }
 
 bool
@@ -214,13 +226,15 @@ QueryScheduler::runAttempt(
     opts.mwVirtualWarp = spec.mwVirtualWarp;
     opts.frontier = spec.frontier;
     opts.frontierRatio = spec.frontierRatio;
-    // The engine itself is single-threaded: scheduler concurrency is
-    // across queries only, which the determinism contract needs.
+    // The engine borrows the scheduler's pool: workers whose claims ran
+    // out join its chunk loops. Without one (a 1-worker scheduler) it
+    // runs serially.
+    opts.pool = pool_.get();
     opts.threads = 1;
     opts.degraded = result.degraded;
-    // Per-query sink: the engine runs serially on this worker, so the
-    // unsynchronized sink is safe and the recorded ticks (simulated
-    // cycles) are worker-count-invariant.
+    // Per-query sink: the engine records only on this thread (no chunk
+    // body does), so the unsynchronized sink is safe and the recorded
+    // ticks (simulated cycles) are worker-count-invariant.
     opts.trace = options_.trace ? &result.trace : nullptr;
     // Degraded virtual-strategy queries run the zero-memory dynamic
     // mapping instead of a stored schedule — bit-identical values,
@@ -240,9 +254,10 @@ QueryScheduler::runAttempt(
     if (sim_deadline || wall_limit > 0.0 || inject) {
         opts.cancel = [sim_deadline, sim_limit, wall_limit, wall_start,
                        inject](unsigned, std::uint64_t cycles) {
-            // The engine runs serially on this thread, so the armed
-            // fault scope is visible here; a fired engine.iteration
-            // site throws out of the analysis into the retry loop.
+            // The engine calls the hook on this thread, never from a
+            // chunk body, so the armed fault scope is visible here; a
+            // fired engine.iteration site throws out of the analysis
+            // into the retry loop.
             if (inject)
                 fault::check(fault::Site::EngineIteration);
             if (sim_deadline &&
@@ -518,9 +533,8 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
         materializers.emplace_back([this, name] { store_.pin(name); });
 
     std::unique_ptr<par::ThreadPool> build_pool;
-    if (queued > 0 && par::resolveThreads(options_.buildThreads) > 1)
-        build_pool = std::make_unique<par::ThreadPool>(
-            options_.buildThreads);
+    if (queued > 0 && buildThreads_ > 1)
+        build_pool = std::make_unique<par::ThreadPool>(buildThreads_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         if (!admitted[i] || arena_served[i] || !cacheable(batch[i]))
             continue;
@@ -588,30 +602,44 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
     for (std::thread &t : materializers)
         t.join();
 
-    // Phase 3 — concurrent execution: workers claim batch slots via an
-    // atomic ticket. Claim order varies; each slot's result does not
+    // Phase 3 — concurrent execution: workers claim admitted slots via
+    // an atomic ticket, longest first — descending simulated cycles last
+    // recorded for the slot's cost key, unknown keys first, ties in
+    // batch order. A worker whose claims ran out lends itself to the
+    // chunk loops of the queries still running (par::ThreadPool). Claim
+    // order and who helps whom vary; each slot's result does not
     // (fault decisions are keyed by slot, the breaker is untouched
-    // until the post-pass).
+    // until the post-pass, engines are chunk-deterministic).
+    std::vector<std::pair<std::uint64_t, std::size_t>> claims;
+    claims.reserve(queued);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (!admitted[i])
+            continue;
+        const auto known = lastCycles_.find(costKey(batch[i]));
+        claims.emplace_back(known == lastCycles_.end()
+                                ? std::numeric_limits<std::uint64_t>::max()
+                                : known->second,
+                            i);
+    }
+    std::stable_sort(claims.begin(), claims.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
     std::atomic<std::size_t> next{0};
     auto drain = [&](unsigned) {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= batch.size())
-                break;
-            if (admitted[i])
-                execute(batch[i], results[i], schedules[i],
-                        scopeKey(batch_seq, i), arena_served[i]);
+        for (std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
+             t < claims.size();
+             t = next.fetch_add(1, std::memory_order_relaxed)) {
+            const std::size_t i = claims[t].second;
+            execute(batch[i], results[i], schedules[i],
+                    scopeKey(batch_seq, i), arena_served[i]);
         }
     };
-    // An ingest-only request (no admitted query) has nothing to drain:
-    // it spawns no pool.
-    if (workers_ > 1 && queued > 0) {
-        par::ThreadPool pool(workers_);
-        pool.run(drain);
-    } else {
+    // An ingest-only request (no admitted query) has nothing to drain.
+    if (pool_ && !claims.empty())
+        pool_->run(drain);
+    else
         drain(0);
-    }
 
     // Phase 4 — breaker post-pass, in batch order over terminal
     // outcomes: deterministic because it never runs concurrently with
@@ -634,11 +662,14 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
     // Phase 5 — serial observability pass, in batch order: every query
     // gets its metricsDigest and QueryEnd event, and each counter is
     // bumped exactly once per query from the terminal outcomes, so the
-    // registry can never drift from the results it describes.
+    // registry can never drift from the results it describes. Completed
+    // queries also leave the cost estimate later batches claim by.
     metrics.counter("scheduler.batches").add();
     for (std::size_t i = 0; i < batch.size(); ++i) {
         QueryResult &r = results[i];
         r.metricsDigest = metricsDigestOf(r);
+        if (r.outcome == QueryOutcome::Completed)
+            lastCycles_[costKey(batch[i])] = r.info.stats.cycles;
         if (options_.trace) {
             obs::TraceEvent event;
             event.kind = obs::EventKind::QueryEnd;

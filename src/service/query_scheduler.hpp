@@ -10,10 +10,15 @@
  * fault traces, and cache-hit flags at ANY worker count. The design
  * choices that make that hold:
  *
- *  1. Every query executes on a single-threaded engine, whose results
- *     are bit-identical by the repo's chunk-determinism contract —
- *     scheduler workers add concurrency *across* queries, never inside
- *     one.
+ *  1. Scheduler workers run queries concurrently, and inside them:
+ *     each query's engine borrows the scheduler's pool, so a worker
+ *     whose claims ran out joins the chunk loops of queries still
+ *     running. Engines are bit-identical by the repo's chunk-
+ *     determinism contract whichever threads run their chunks, so
+ *     neither the claim order (longest first, by the simulated cycles
+ *     last recorded for the same kind of query) nor who helps whom can
+ *     change a result. Fault points, the cancel hook and the trace
+ *     sink run only on the query's own worker.
  *  2. Transform warm-up is serial and in batch order: each admitted
  *     query's schedule is built (or found) in the cache before any
  *     worker starts, so which query is the miss and which are hits is
@@ -53,10 +58,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dynamic/mutation.hpp"
@@ -246,13 +253,16 @@ struct MutationBatchResult
 struct SchedulerOptions
 {
     /** Concurrent query workers: 0 = the TIGR_THREADS / hardware
-     *  default, N >= 1 = exactly N. */
+     *  default, N >= 1 = exactly N (at most par::kMaxThreads). The
+     *  scheduler keeps one pool of this many threads for its lifetime;
+     *  queries borrow it. */
     unsigned workers = 0;
     /** Admission bound: queries beyond this many in one batch are
      *  Rejected (deterministically, by batch position). */
     std::size_t maxQueuedQueries = 1024;
     /** Host threads for cache-miss transform builds during warm-up
-     *  (builds are bit-identical at any value). 0 = default. */
+     *  (builds are bit-identical at any value). 0 = default; at most
+     *  par::kMaxThreads. */
     unsigned buildThreads = 1;
     /** Deterministic fault schedule; inert by default. */
     fault::FaultPlan faultPlan;
@@ -293,6 +303,8 @@ class QueryScheduler
     QueryScheduler(GraphStore &store, TransformCache &cache,
                    SchedulerOptions options = {});
 
+    ~QueryScheduler();
+
     /** Worker count batches actually run with. */
     unsigned workers() const { return workers_; }
 
@@ -323,13 +335,19 @@ class QueryScheduler
     const CircuitBreaker &breaker() const { return breaker_; }
 
   private:
+    /** What a claim-order estimate is keyed by: (graph, strategy, K,
+     *  algorithm, direction). */
+    using CostKey = std::tuple<std::string, engine::Strategy, NodeId,
+                               engine::Algorithm, engine::Direction>;
+    static CostKey costKey(const QuerySpec &spec);
+
     /** Validate @p spec against the store; fills result on rejection.
      *  Reads only epoch-invariant metadata (GraphStore::peek), so
      *  admission never materializes a stale dense entry. */
     bool admit(const QuerySpec &spec, QueryResult &result) const;
 
-    /** Execute one admitted query (on a 1-thread engine) with the
-     *  retry loop. @p scope_key keys the fault scope; @p shared is the
+    /** Execute one admitted query (on an engine borrowing the pool)
+     *  with the retry loop. @p scope_key keys the fault scope; @p shared is the
      *  warm-up's schedule (null = degraded, uncacheable, or
      *  arena-served). @p arena_served routes the query off the live
      *  arena instead of the dense StoredGraph. */
@@ -357,7 +375,14 @@ class QueryScheduler
     TransformCache &cache_;
     SchedulerOptions options_;
     unsigned workers_;
+    /** options_.buildThreads, resolved once. */
+    unsigned buildThreads_;
+    /** The scheduler-lifetime pool queries borrow (null at 1 worker). */
+    std::unique_ptr<par::ThreadPool> pool_;
     CircuitBreaker breaker_;
+    /** Simulated cycles of the last completed query per cost key,
+     *  written by the serial Phase 5: Phase 3's longest-first order. */
+    std::map<CostKey, std::uint64_t> lastCycles_;
     /** Monotonic batch counter: the high half of every scope key, so
      *  fault decisions differ across batches under one seed. */
     std::uint64_t batchSeq_ = 0;

@@ -6,10 +6,14 @@
  * build on (see docs/parallelism.md).
  */
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +127,252 @@ TEST(ThreadPool, RunOnDifferentPoolInsideJobIsAllowed)
             inner.run([&](unsigned) { ++total; });
     });
     EXPECT_EQ(total.load(), 1);
+}
+
+// ------------------------------------------------------ borrowed pools
+
+/** Spin until @p done() holds or a generous timeout passes; returns
+ *  done(). Bounds the tests that wait for a helper to join. */
+template <typename Pred>
+bool
+waitFor(Pred &&done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+/** What a borrowed forEachChunk saw: how often each chunk ran, and
+ *  which worker ids ran chunks. */
+struct ChunkLedger
+{
+    explicit ChunkLedger(std::uint64_t chunks) : runs(chunks) {}
+
+    void record(std::uint64_t chunk, unsigned worker)
+    {
+        ++runs[chunk];
+        std::lock_guard lock(mutex);
+        workers.insert(worker);
+    }
+    std::size_t distinctWorkers()
+    {
+        std::lock_guard lock(mutex);
+        return workers.size();
+    }
+    void expectEachChunkOnce() const
+    {
+        for (std::size_t chunk = 0; chunk < runs.size(); ++chunk)
+            ASSERT_EQ(runs[chunk].load(), 1) << "chunk " << chunk;
+    }
+
+    std::vector<std::atomic<int>> runs;
+    std::mutex mutex;
+    std::set<unsigned> workers;
+};
+
+constexpr std::uint64_t kLedgerChunks = 64;
+
+/** Run @p owner as worker 0 of a @p lender run whose other jobs return
+ *  at once, so every other thread of the lender helps. */
+template <typename Fn>
+void
+lendAll(ThreadPool &lender, Fn &&owner)
+{
+    lender.run([&](unsigned worker) {
+        if (worker == 0)
+            owner();
+    });
+}
+
+TEST(BorrowedPool, ReportsTheLendersSizeAndSpawnsNothing)
+{
+    ThreadPool lender(4);
+    ThreadPool borrowed(lender);
+    EXPECT_TRUE(borrowed.borrowed());
+    EXPECT_FALSE(lender.borrowed());
+    EXPECT_EQ(borrowed.threads(), 4u);
+    PerWorker<int> slots(&borrowed);
+    EXPECT_EQ(slots.size(), 4u);
+}
+
+TEST(BorrowedPool, OwnerRunsAloneWhenNoRunIsLending)
+{
+    // No lender run() in flight: nobody helps, and the owner runs every
+    // chunk as worker 0 without waiting.
+    ThreadPool lender(4);
+    ThreadPool borrowed(lender);
+    ChunkLedger ledger(kLedgerChunks);
+    forEachChunk(&borrowed, kLedgerChunks, 1,
+                 [&](std::uint64_t chunk, std::uint64_t, std::uint64_t,
+                     unsigned id) { ledger.record(chunk, id); });
+    ledger.expectEachChunkOnce();
+    EXPECT_EQ(ledger.workers, std::set<unsigned>{0u});
+}
+
+TEST(BorrowedPool, OwnerRunsAloneWhenEveryLenderWorkerIsBusy)
+{
+    // Workers 1..3 are busy with their own jobs until the owner is
+    // done, so no helper can join: the owner must finish alone, with no
+    // deadlock, as worker 0.
+    ThreadPool lender(4);
+    ChunkLedger ledger(kLedgerChunks);
+    std::atomic<bool> owner_done{false};
+    lender.run([&](unsigned worker) {
+        if (worker != 0) {
+            ASSERT_TRUE(waitFor([&] { return owner_done.load(); }));
+            return;
+        }
+        ThreadPool borrowed(lender);
+        forEachChunk(&borrowed, kLedgerChunks, 1,
+                     [&](std::uint64_t chunk, std::uint64_t,
+                         std::uint64_t, unsigned id) {
+                         ledger.record(chunk, id);
+                     });
+        owner_done = true;
+    });
+    ledger.expectEachChunkOnce();
+    EXPECT_EQ(ledger.workers, std::set<unsigned>{0u});
+}
+
+TEST(BorrowedPool, OneHelperJoinsOnceItsOwnJobReturned)
+{
+    // Worker 1's job returns at once, so it lends itself to the
+    // owner's region; workers 2 and 3 stay busy.
+    ThreadPool lender(4);
+    ChunkLedger ledger(kLedgerChunks);
+    std::atomic<bool> owner_done{false};
+    lender.run([&](unsigned worker) {
+        if (worker == 1)
+            return;
+        if (worker != 0) {
+            ASSERT_TRUE(waitFor([&] { return owner_done.load(); }));
+            return;
+        }
+        ThreadPool borrowed(lender);
+        forEachChunk(&borrowed, kLedgerChunks, 1,
+                     [&](std::uint64_t chunk, std::uint64_t,
+                         std::uint64_t, unsigned id) {
+                         ledger.record(chunk, id);
+                         // Hold the owner's first chunk until the
+                         // helper has run one.
+                         if (id == 0 && chunk == 0)
+                             waitFor([&] {
+                                 return ledger.distinctWorkers() > 1;
+                             });
+                     });
+        owner_done = true;
+    });
+    ledger.expectEachChunkOnce();
+    EXPECT_EQ(ledger.workers, (std::set<unsigned>{0u, 1u}));
+}
+
+TEST(BorrowedPool, EveryHelperJoins)
+{
+    // Every other job of the lender run returns at once: all three
+    // join the region, each under its own id below threads().
+    ThreadPool lender(4);
+    ChunkLedger ledger(kLedgerChunks);
+    lendAll(lender, [&] {
+        ThreadPool borrowed(lender);
+        forEachChunk(&borrowed, kLedgerChunks, 1,
+                     [&](std::uint64_t chunk, std::uint64_t,
+                         std::uint64_t, unsigned id) {
+                         ledger.record(chunk, id);
+                         waitFor([&] {
+                             return ledger.distinctWorkers() == 4;
+                         });
+                     });
+    });
+    ledger.expectEachChunkOnce();
+    EXPECT_EQ(ledger.workers, (std::set<unsigned>{0u, 1u, 2u, 3u}));
+}
+
+TEST(BorrowedPool, RepeatedRegionsRunEveryChunkOnce)
+{
+    ThreadPool lender(3);
+    lendAll(lender, [&] {
+        ThreadPool borrowed(lender);
+        for (int round = 0; round < 200; ++round) {
+            ChunkLedger ledger(kLedgerChunks);
+            forEachChunk(&borrowed, kLedgerChunks, 1,
+                         [&](std::uint64_t chunk, std::uint64_t,
+                             std::uint64_t, unsigned id) {
+                             EXPECT_LT(id, borrowed.threads());
+                             ledger.record(chunk, id);
+                         });
+            ledger.expectEachChunkOnce();
+        }
+    });
+}
+
+TEST(BorrowedPool, HelperExceptionReachesTheOwner)
+{
+    ThreadPool lender(2);
+    lendAll(lender, [&] {
+        ThreadPool borrowed(lender);
+        std::atomic<bool> helper_threw{false};
+        try {
+            forEachChunk(&borrowed, kLedgerChunks, 1,
+                         [&](std::uint64_t, std::uint64_t,
+                             std::uint64_t, unsigned id) {
+                             if (id != 0) {
+                                 helper_threw = true;
+                                 throw std::runtime_error("helper boom");
+                             }
+                             waitFor([&] { return helper_threw.load(); });
+                         });
+            ADD_FAILURE() << "expected the helper's exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "helper boom");
+        }
+        // The handle stays usable.
+        std::atomic<int> ran{0};
+        borrowed.run([&](unsigned) { ++ran; });
+        EXPECT_GE(ran.load(), 1);
+    });
+}
+
+TEST(BorrowedPool, OwnerExceptionWinsOverHelpers)
+{
+    ThreadPool lender(4);
+    lendAll(lender, [&] {
+        ThreadPool borrowed(lender);
+        try {
+            borrowed.run([](unsigned id) {
+                throw std::runtime_error("worker " + std::to_string(id));
+            });
+            ADD_FAILURE() << "expected an exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "worker 0");
+        }
+    });
+}
+
+TEST(BorrowedPool, NestedRunOnTheSameHandleThrows)
+{
+    ThreadPool lender(2);
+    ThreadPool borrowed(lender);
+    EXPECT_THROW(borrowed.run([&](unsigned id) {
+        EXPECT_TRUE(borrowed.inParallelRegion());
+        if (id == 0)
+            borrowed.run([](unsigned) {});
+    }),
+                 std::logic_error);
+    EXPECT_FALSE(borrowed.inParallelRegion());
+}
+
+TEST(BorrowedPool, OneThreadLenderRunsInline)
+{
+    ThreadPool lender(1);
+    ThreadPool borrowed(lender);
+    std::vector<unsigned> seen;
+    borrowed.run([&](unsigned worker) { seen.push_back(worker); });
+    EXPECT_EQ(seen, std::vector<unsigned>{0u});
 }
 
 // ------------------------------------------------------ thread counts

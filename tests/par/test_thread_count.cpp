@@ -4,15 +4,22 @@
  * reject 0, negatives, garbage, trailing text, and overflow with a
  * clear error naming the offending setting, and the TIGR_THREADS
  * environment resolution must go through the same strict parser
- * instead of silently falling back to the hardware default.
+ * instead of silently falling back to the hardware default. Numeric
+ * requests (pool sizes, engine threads, scheduler workers) above
+ * kMaxThreads are configuration errors too.
  */
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "engine/graph_engine.hpp"
 #include "par/thread_pool.hpp"
+#include "service/graph_store.hpp"
+#include "service/query_scheduler.hpp"
+#include "service/transform_cache.hpp"
 
 namespace tigr::par {
 namespace {
@@ -101,6 +108,61 @@ TEST_F(ThreadCountEnv, InvalidEnvFailsLoudly)
         // An explicit request never consults the environment.
         EXPECT_EQ(resolveThreads(3), 3u);
     }
+}
+
+// ------------------------------------------- numeric requests above the bound
+
+TEST(ThreadCountBound, AcceptsTheBoundItself)
+{
+    EXPECT_EQ(resolveThreads(kMaxThreads), kMaxThreads);
+}
+
+TEST(ThreadCountBound, RejectsRequestsAboveTheBound)
+{
+    for (unsigned bad : {kMaxThreads + 1, 5000u, 100000u,
+                         std::numeric_limits<unsigned>::max()}) {
+        EXPECT_THROW(resolveThreads(bad), std::invalid_argument)
+            << bad << " threads";
+    }
+    try {
+        resolveThreads(5000);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("5000"), std::string::npos) << what;
+        EXPECT_NE(what.find("1024"), std::string::npos) << what;
+    }
+}
+
+TEST(ThreadCountBound, OversizedPoolThrows)
+{
+    EXPECT_THROW(ThreadPool pool(5000), std::invalid_argument);
+}
+
+TEST(ThreadCountBound, OversizedEngineThreadsThrow)
+{
+    graph::CooEdges coo(3);
+    coo.add(0, 1, 1);
+    coo.add(1, 2, 1);
+    const graph::Csr graph = graph::Csr::fromCoo(coo);
+    engine::EngineOptions options;
+    options.threads = 5000;
+    EXPECT_THROW(engine::GraphEngine(graph, options),
+                 std::invalid_argument);
+}
+
+TEST(ThreadCountBound, OversizedSchedulerWorkersThrow)
+{
+    service::GraphStore store;
+    service::TransformCache cache(std::size_t{1} << 20);
+    service::SchedulerOptions options;
+    options.workers = 100000;
+    EXPECT_THROW(service::QueryScheduler(store, cache, options),
+                 std::invalid_argument);
+    options.workers = 1;
+    options.buildThreads = 5000;
+    EXPECT_THROW(service::QueryScheduler(store, cache, options),
+                 std::invalid_argument);
 }
 
 } // namespace

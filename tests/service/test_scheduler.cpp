@@ -660,5 +660,223 @@ TEST(QuerySchedulerCache, PullQueriesAfterMutateAndPinMatchNewEpochOracles)
     }
 }
 
+// ------------------------------------------------------------ lending
+
+/** Large enough that the engines' chunk loops have several chunks, so
+ *  a worker whose claims ran out has loops to join. */
+const graph::Csr &
+lendingGraph()
+{
+    static const graph::Csr graph = [] {
+        graph::BuildOptions options;
+        options.randomizeWeights = true;
+        options.maxWeight = 24;
+        options.weightSeed = 91;
+        return graph::GraphBuilder(options).build(
+            graph::rmat({.nodes = 20000, .edges = 120000, .seed = 91}));
+    }();
+    return graph;
+}
+
+GraphStore &
+lendingStore()
+{
+    static GraphStore store;
+    static const bool initialized = [] {
+        store.add("big", lendingGraph());
+        return true;
+    }();
+    (void)initialized;
+    return store;
+}
+
+/** Results plus the registry text of one scheduler run. */
+struct Observed
+{
+    std::vector<QueryResult> results;
+    std::string registry;
+};
+
+SchedulerOptions
+lendingOptions(unsigned workers, obs::MetricsRegistry &registry)
+{
+    SchedulerOptions options;
+    options.workers = workers;
+    options.metrics = &registry;
+    options.trace = true;
+    return options;
+}
+
+/** Results, per-query traces, metricsDigest and the registry digest
+ *  must not depend on the worker count. */
+void
+expectWorkerInvariant(const Observed &got, const Observed &want,
+                      unsigned workers)
+{
+    expectIdenticalResults(got.results, want.results, workers);
+    for (std::size_t i = 0; i < got.results.size(); ++i) {
+        SCOPED_TRACE("query " + std::to_string(i) + " at " +
+                     std::to_string(workers) + " workers");
+        const QueryResult &a = got.results[i];
+        const QueryResult &b = want.results[i];
+        EXPECT_EQ(a.metricsDigest, b.metricsDigest);
+        EXPECT_EQ(a.attempts, b.attempts);
+        EXPECT_EQ(a.arenaServed, b.arenaServed);
+        EXPECT_EQ(a.degraded, b.degraded);
+        EXPECT_EQ(a.faultTrace.size(), b.faultTrace.size());
+        EXPECT_EQ(obs::formatTrace(a.trace), obs::formatTrace(b.trace));
+    }
+    EXPECT_EQ(graph::fnv1a64(got.registry.data(), got.registry.size()),
+              graph::fnv1a64(want.registry.data(), want.registry.size()))
+        << "registry drift at " << workers << " workers";
+}
+
+TEST(QuerySchedulerLending, FewerQueriesThanWorkersIsWorkerInvariant)
+{
+    // Two queries on up to eight workers: the idle workers lend
+    // themselves from the start.
+    const std::vector<QuerySpec> batch = {
+        specOf("big", engine::Algorithm::Sssp, engine::Strategy::TigrVPlus,
+               engine::Direction::Push),
+        specOf("big", engine::Algorithm::Cc, engine::Strategy::TigrV,
+               engine::Direction::Push),
+    };
+    auto observe = [&](unsigned workers) {
+        obs::MetricsRegistry registry;
+        TransformCache cache(std::size_t{256} << 20);
+        QueryScheduler scheduler(lendingStore(), cache,
+                                 lendingOptions(workers, registry));
+        Observed out{scheduler.runBatch(batch), {}};
+        out.registry = registry.snapshotText();
+        return out;
+    };
+    const Observed reference = observe(1);
+    for (const QueryResult &r : reference.results)
+        ASSERT_EQ(r.outcome, QueryOutcome::Completed) << r.message;
+    for (unsigned workers : {2u, 8u})
+        expectWorkerInvariant(observe(workers), reference, workers);
+}
+
+TEST(QuerySchedulerLending, ArenaServedMutateThenQueryIsWorkerInvariant)
+{
+    const std::vector<QuerySpec> queries = {
+        specOf("big", engine::Algorithm::Sssp, engine::Strategy::TigrVPlus,
+               engine::Direction::Push),
+        specOf("big", engine::Algorithm::Bfs, engine::Strategy::TigrV,
+               engine::Direction::Pull),
+        specOf("big", engine::Algorithm::Pr, engine::Strategy::TigrVPlus,
+               engine::Direction::Push),
+        specOf("big", engine::Algorithm::Cc, engine::Strategy::TigrV,
+               engine::Direction::Pull),
+    };
+    MutationSpec mutation;
+    mutation.graph = "big";
+    mutation.generate = dynamic::GeneratorSpec{
+        .seed = 5, .inserts = 300, .deletes = 200, .reweights = 50};
+    const std::vector<MutationSpec> mutations{mutation};
+
+    auto observe = [&](unsigned workers) {
+        GraphStore store;
+        store.add("big", lendingGraph());
+        obs::MetricsRegistry registry;
+        TransformCache cache(std::size_t{256} << 20);
+        QueryScheduler scheduler(store, cache,
+                                 lendingOptions(workers, registry));
+        const MutationBatchResult result =
+            scheduler.runBatch(mutations, queries);
+        EXPECT_TRUE(result.mutations[0].applied)
+            << result.mutations[0].message;
+        Observed out{result.queries, registry.snapshotText()};
+        return out;
+    };
+    const Observed reference = observe(1);
+    for (const QueryResult &r : reference.results) {
+        ASSERT_EQ(r.outcome, QueryOutcome::Completed) << r.message;
+        EXPECT_TRUE(r.arenaServed);
+    }
+    for (unsigned workers : {2u, 8u})
+        expectWorkerInvariant(observe(workers), reference, workers);
+}
+
+TEST(QuerySchedulerLending, DeadlinesAndIterationFaultsAreWorkerInvariant)
+{
+    std::vector<QuerySpec> batch;
+    for (engine::Algorithm algorithm :
+         {engine::Algorithm::Sssp, engine::Algorithm::Bfs,
+          engine::Algorithm::Sswp, engine::Algorithm::Cc,
+          engine::Algorithm::Pr})
+        for (engine::Strategy strategy :
+             {engine::Strategy::TigrVPlus, engine::Strategy::Baseline})
+            batch.push_back(specOf("big", algorithm, strategy,
+                                   engine::Direction::Push));
+    // Deadlines at half of each query's undisturbed simulated time, on
+    // every other query, trip mid-run.
+    {
+        TransformCache cache(std::size_t{256} << 20);
+        QueryScheduler scheduler(lendingStore(), cache);
+        const std::vector<QueryResult> plain = scheduler.runBatch(batch);
+        for (std::size_t i = 0; i < batch.size(); i += 2)
+            batch[i].deadlineSimMs =
+                engine::cyclesToMs(plain[i].info.stats.cycles) / 2;
+    }
+    auto observe = [&](unsigned workers) {
+        obs::MetricsRegistry registry;
+        TransformCache cache(std::size_t{256} << 20);
+        SchedulerOptions options = lendingOptions(workers, registry);
+        options.faultPlan = fault::FaultPlan(0x5eed);
+        options.faultPlan.site(fault::Site::EngineIteration, 0.05);
+        QueryScheduler scheduler(lendingStore(), cache, options);
+        Observed out{scheduler.runBatch(batch), {}};
+        out.registry = registry.snapshotText();
+        return out;
+    };
+    const Observed reference = observe(1);
+    std::size_t deadlines = 0, faults = 0;
+    for (const QueryResult &r : reference.results) {
+        deadlines += r.outcome == QueryOutcome::DeadlineExceeded;
+        faults += r.faultTrace.size();
+    }
+    EXPECT_GE(deadlines, 1u);
+    EXPECT_GE(faults, 1u) << "the seeded plan should inject a fault";
+    for (unsigned workers : {2u, 8u})
+        expectWorkerInvariant(observe(workers), reference, workers);
+}
+
+TEST(QuerySchedulerLending, ReversedBatchGivesTheSamePerSlotResults)
+{
+    // The second run claims by the cycles the first one recorded, in
+    // a different order; no slot's result may notice.
+    std::vector<QuerySpec> batch;
+    for (engine::Algorithm algorithm :
+         {engine::Algorithm::Bfs, engine::Algorithm::Sssp,
+          engine::Algorithm::Cc, engine::Algorithm::Pr})
+        batch.push_back(specOf("big", algorithm,
+                               engine::Strategy::TigrVPlus,
+                               engine::Direction::Push));
+    batch.push_back(specOf("big", engine::Algorithm::Sswp,
+                           engine::Strategy::TigrV,
+                           engine::Direction::Pull));
+    const std::vector<QuerySpec> reversed(batch.rbegin(), batch.rend());
+
+    TransformCache cache(std::size_t{256} << 20);
+    SchedulerOptions options;
+    options.workers = 4;
+    QueryScheduler scheduler(lendingStore(), cache, options);
+    const std::vector<QueryResult> forward = scheduler.runBatch(batch);
+    const std::vector<QueryResult> backward = scheduler.runBatch(reversed);
+    ASSERT_EQ(forward.size(), backward.size());
+    for (std::size_t i = 0; i < forward.size(); ++i) {
+        SCOPED_TRACE("query " + std::to_string(i));
+        const QueryResult &a = forward[i];
+        const QueryResult &b = backward[forward.size() - 1 - i];
+        ASSERT_EQ(a.outcome, QueryOutcome::Completed) << a.message;
+        EXPECT_EQ(a.outcome, b.outcome);
+        EXPECT_EQ(a.digest, b.digest);
+        EXPECT_EQ(a.values, b.values);
+        EXPECT_EQ(a.info.iterations, b.info.iterations);
+        EXPECT_EQ(a.info.stats.cycles, b.info.stats.cycles);
+    }
+}
+
 } // namespace
 } // namespace tigr::service
