@@ -29,7 +29,7 @@
  *      stream: repairing BOTH maintained arena arrays (forward +
  *      reverse) versus what the dense pull path must do instead
  *      (materialize the dense CSR, reverse it, re-split it). Every
- *      round also runs SSSP pull through both paths — ArenaEngine over
+ *      round also runs SSSP pull through both paths — GraphEngine over
  *      the live arenas against GraphEngine over the dense rebuild —
  *      and any value divergence fails the gate, so the speedup is
  *      never bought with drift. Gate: arena >= 10x.
@@ -51,7 +51,6 @@
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental_virtualizer.hpp"
 #include "dynamic/mutation.hpp"
-#include "engine/arena_engine.hpp"
 #include "engine/graph_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/coo.hpp"
@@ -538,7 +537,7 @@ struct PullRow
  *  timing time-to-pull-ready on both paths: the arena path repairs the
  *  two maintained arrays; the dense path materializes the dense CSR,
  *  reverses it, and re-splits it. Every round then runs SSSP pull
- *  through ArenaEngine (reverse arena) and GraphEngine (dense rebuild)
+ *  through GraphEngine over the reverse arena and over the dense rebuild
  *  and compares the values element for element. */
 PullRow
 runPullRow(const graph::Csr &start, std::size_t rounds)
@@ -595,7 +594,7 @@ runPullRow(const graph::Csr &start, std::size_t rounds)
 
         // Bit-identity of the values actually served (untimed): the
         // reverse-arena pull must match the dense pull exactly.
-        engine::ArenaEngine arena_engine(dg, &forward, &reverse,
+        engine::GraphEngine arena_engine(dg, &forward, &reverse,
                                          options);
         engine::GraphEngine dense_engine(dense, options);
         const auto arena_result = arena_engine.sssp(0);

@@ -4,9 +4,10 @@
 #include <cmath>
 #include <chrono>
 #include <stdexcept>
+#include <type_traits>
 
 #include "algorithms/semirings.hpp"
-#include "engine/dynamic_provider.hpp"
+#include "engine/family_provider.hpp"
 #include "engine/pagerank.hpp"
 #include "par/parallel_for.hpp"
 #include "graph/datasets.hpp"
@@ -40,10 +41,35 @@ isVirtualStrategy(Strategy strategy)
            strategy == Strategy::TigrVPlus;
 }
 
+transform::EdgeLayout
+layoutOf(Strategy strategy)
+{
+    return strategy == Strategy::TigrVPlus
+               ? transform::EdgeLayout::Coalesced
+               : transform::EdgeLayout::Consecutive;
+}
+
+/** @p virt when it can serve @p side's families under @p options,
+ *  else null. */
+const dynamic::IncrementalVirtualizer *
+usableVirtualizer(const dynamic::IncrementalVirtualizer *virt,
+                  dynamic::GraphSide side, const EngineOptions &options)
+{
+    const bool usable =
+        virt != nullptr && !options.dynamicMapping &&
+        virt->addressing() == dynamic::StartAddressing::Arena &&
+        virt->side() == side &&
+        virt->degreeBound() == options.degreeBound &&
+        virt->layout() == layoutOf(options.strategy);
+    return usable ? virt : nullptr;
+}
+
 } // namespace
 
-/** Lazily built per-analysis machinery: the (possibly transformed or
- *  reversed) graph a schedule indexes plus the schedule itself. */
+/** Per-analysis machinery. Over a CSR: the lazily built (possibly
+ *  transformed or reversed) graph a schedule indexes plus the schedule
+ *  itself. Over an arena: the side and its maintained virtualizer,
+ *  re-read every run. */
 struct GraphEngine::Context
 {
     /** Owned graph storage when the context cannot reference the
@@ -67,9 +93,17 @@ struct GraphEngine::Context
     /** Host time spent building this context (a shared schedule
      *  reports its original build cost). */
     double buildMs = 0.0;
-    /** Set once a later analysis reuses this context (the
-     *  RunInfo::transformCached satellite fix). */
+    /** Set once a later analysis reuses this context, so its
+     *  RunInfo::transformCached reads true; on an arena, set when a
+     *  maintained virtualizer serves the side. */
     bool reusedFromCache = false;
+    /** Work units the device stores for this context: 0 under dynamic
+     *  mapping, where no virtual array exists. */
+    std::uint64_t units = 0;
+    /** Arena sources: the side the units index and its maintained
+     *  virtualizer (null = on-the-fly families). */
+    dynamic::GraphSide side = dynamic::GraphSide::Out;
+    const dynamic::IncrementalVirtualizer *maintained = nullptr;
 };
 
 std::size_t
@@ -117,7 +151,7 @@ enginePool(const EngineOptions &options)
 
 GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
                          std::shared_ptr<const SharedSchedule> shared)
-    : graph_(graph), options_(std::move(options)),
+    : csr_(&graph), options_(std::move(options)),
       shared_(std::move(shared)), sim_(options_.gpu)
 {
     pool_ = enginePool(options_);
@@ -136,27 +170,101 @@ GraphEngine::GraphEngine(const graph::Csr &graph, EngineOptions options,
     }
 }
 
+GraphEngine::GraphEngine(const dynamic::DynamicGraph &graph,
+                         const dynamic::IncrementalVirtualizer *forward,
+                         const dynamic::IncrementalVirtualizer *reverse,
+                         EngineOptions options)
+    : arena_(&graph), options_(std::move(options)), sim_(options_.gpu)
+{
+    if (!isVirtualStrategy(options_.strategy)) {
+        throw std::invalid_argument(
+            "tigr: arena-served analyses require a virtual strategy "
+            "(tigr-v / tigr-v+); every other strategy needs a dense "
+            "materialization");
+    }
+    forwardVirt_ =
+        usableVirtualizer(forward, dynamic::GraphSide::Out, options_);
+    reverseVirt_ =
+        usableVirtualizer(reverse, dynamic::GraphSide::In, options_);
+    pool_ = enginePool(options_);
+}
+
 GraphEngine::~GraphEngine() = default;
 
-GraphEngine::Context &
-GraphEngine::context(Algorithm algorithm, ContextKind forward_kind)
+NodeId
+GraphEngine::numNodes() const
 {
-    return context(scheduleSide(algorithm, options_.strategy,
-                                options_.direction) ==
-                           ScheduleSide::Reversed
-                       ? ContextKind::PullReversed
-                       : forward_kind);
+    return csr_ ? csr_->numNodes() : arena_->numNodes();
+}
+
+template <typename Fn>
+decltype(auto)
+GraphEngine::withProvider(const Context &ctx, Fn &&fn) const
+{
+    const NodeId k = options_.degreeBound;
+    const transform::EdgeLayout layout = layoutOf(options_.strategy);
+    if (arena_ && ctx.side == dynamic::GraphSide::In)
+        return fn(FamilyProvider(ArenaInSide{arena_}, k, layout,
+                                 ctx.maintained));
+    if (arena_)
+        return fn(FamilyProvider(ArenaOutSide{arena_}, k, layout,
+                                 ctx.maintained));
+    if (options_.dynamicMapping)
+        return fn(FamilyProvider(CsrSide{ctx.scheduled}, k, layout));
+    return fn(*ctx.schedule);
+}
+
+GraphEngine::Context &
+GraphEngine::context(Algorithm algorithm)
+{
+    if (scheduleSide(algorithm, options_.strategy, options_.direction) ==
+        ScheduleSide::Reversed)
+        return context(ContextKind::PullReversed);
+    if (algorithm == Algorithm::Sswp)
+        return context(ContextKind::WeightedInf);
+    // BFS runs on the weighted context through UnitWeightProvider;
+    // only TigrUdt needs a unit-weight copy, whose split adds
+    // zero-weight dumb edges.
+    if (algorithm == Algorithm::Bfs &&
+        options_.strategy == Strategy::TigrUdt)
+        return context(ContextKind::UnitZero);
+    return context(ContextKind::WeightedZero);
 }
 
 GraphEngine::Context &
 GraphEngine::context(ContextKind kind)
 {
+    if (arena_) {
+        // Arena contexts build nothing: the pull side gathers over the
+        // reverse arena, everything else runs over the forward one.
+        // Their fields are re-read every run, since the graph may
+        // have mutated since the last one.
+        const bool pull = kind == ContextKind::PullReversed;
+        std::unique_ptr<Context> &slot =
+            contexts_[pull ? kind : ContextKind::WeightedZero];
+        if (!slot)
+            slot = std::make_unique<Context>();
+        Context &ctx = *slot;
+        ctx.side = pull ? dynamic::GraphSide::In : dynamic::GraphSide::Out;
+        ctx.maintained = pull ? reverseVirt_ : forwardVirt_;
+        // No transform runs on this path: a maintained array is
+        // cached reuse with no build time to charge.
+        ctx.reusedFromCache = ctx.maintained != nullptr;
+        ctx.units = options_.dynamicMapping
+                        ? 0
+                        : withProvider(ctx, [](const auto &provider) {
+                              return provider.numUnits();
+                          });
+        return ctx;
+    }
+
     auto it = contexts_.find(kind);
     if (it != contexts_.end()) {
         it->second->reusedFromCache = true;
         return *it->second;
     }
 
+    const graph::Csr &graph = *csr_;
     auto start = std::chrono::steady_clock::now();
     auto ctx = std::make_unique<Context>();
 
@@ -169,22 +277,24 @@ GraphEngine::context(ContextKind kind)
             ctx->reusedFromCache = true;
         } else {
             ctx->reversed = SharedSchedule::build(
-                graph_, ScheduleSide::Reversed, options_.strategy,
+                graph, ScheduleSide::Reversed, options_.strategy,
                 options_.degreeBound, options_.mwVirtualWarp,
                 pool_.get(), !options_.dynamicMapping);
             ctx->buildMs = elapsedMs(start);
         }
         ctx->scheduled = &*ctx->reversed->reversed;
         ctx->schedule = &ctx->reversed->schedule;
+        ctx->units =
+            options_.dynamicMapping ? 0 : ctx->schedule->numUnits();
         Context &ref = *ctx;
         contexts_.emplace(kind, std::move(ctx));
         return ref;
     }
 
     // Pick the base graph for this analysis family.
-    const graph::Csr *base = &graph_;
-    if (kind == ContextKind::UnitZero && !allUnitWeights(graph_)) {
-        graph::CooEdges coo = graph_.toCoo();
+    const graph::Csr *base = &graph;
+    if (kind == ContextKind::UnitZero && !allUnitWeights(graph)) {
+        graph::CooEdges coo = graph.toCoo();
         for (graph::Edge &e : coo.edges())
             e.weight = 1;
         ctx->ownedGraph = graph::Csr::fromCoo(coo);
@@ -192,15 +302,15 @@ GraphEngine::context(ContextKind kind)
     } else if (kind == ContextKind::SortedRows) {
         // Row-sorted copy: each node's neighbor list ascending, for
         // two-pointer set intersections.
-        graph::CooEdges coo(graph_.numNodes());
-        coo.reserve(graph_.numEdges());
+        graph::CooEdges coo(graph.numNodes());
+        coo.reserve(graph.numEdges());
         std::vector<std::pair<NodeId, Weight>> row;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
+        for (NodeId v = 0; v < graph.numNodes(); ++v) {
             row.clear();
-            for (EdgeIndex e = graph_.edgeBegin(v);
-                 e < graph_.edgeEnd(v); ++e)
-                row.emplace_back(graph_.edgeTarget(e),
-                                 graph_.edgeWeight(e));
+            for (EdgeIndex e = graph.edgeBegin(v);
+                 e < graph.edgeEnd(v); ++e)
+                row.emplace_back(graph.edgeTarget(e),
+                                 graph.edgeWeight(e));
             std::sort(row.begin(), row.end());
             for (auto [target, weight] : row)
                 coo.add(v, target, weight);
@@ -246,6 +356,7 @@ GraphEngine::context(ContextKind kind)
     } else {
         ctx->buildMs = elapsedMs(start);
     }
+    ctx->units = options_.dynamicMapping ? 0 : ctx->schedule->numUnits();
 
     Context &ref = *ctx;
     contexts_.emplace(kind, std::move(ctx));
@@ -260,26 +371,11 @@ GraphEngine::sharedApplies(const Context &ctx, ScheduleSide side) const
     const SharedSchedule &s = *shared_;
     const bool same_graph =
         side == ScheduleSide::Reversed
-            ? s.reversedFrom == &graph_
-            : ctx.scheduled == &graph_ && &s.schedule.graph() == &graph_;
+            ? s.reversedFrom == csr_
+            : ctx.scheduled == csr_ && &s.schedule.graph() == csr_;
     return same_graph && s.schedule.strategy() == options_.strategy &&
            s.schedule.degreeBound() == options_.degreeBound &&
            s.schedule.mwVirtualWarp() == options_.mwVirtualWarp;
-}
-
-template <typename Fn>
-decltype(auto)
-GraphEngine::withProvider(const Context &ctx, Fn &&fn) const
-{
-    if (options_.dynamicMapping) {
-        const DynamicVirtualProvider provider(
-            *ctx.scheduled, options_.degreeBound,
-            options_.strategy == Strategy::TigrVPlus
-                ? transform::EdgeLayout::Coalesced
-                : transform::EdgeLayout::Consecutive);
-        return fn(provider);
-    }
-    return fn(*ctx.schedule);
 }
 
 PushOptions
@@ -312,7 +408,7 @@ GraphEngine::traceRunBegin(Algorithm algorithm, const Context &ctx)
     begin.label[2] =
         options_.direction == Direction::Pull ? "pull" : "push";
     begin.label[3] = frontierModeName(options_.frontier);
-    begin.arg[0] = graph_.numNodes();
+    begin.arg[0] = numNodes();
     begin.arg[1] = options_.worklist ? 1 : 0;
     begin.arg[2] = options_.dynamicMapping ? 1 : 0;
     options_.trace->record(begin);
@@ -321,8 +417,7 @@ GraphEngine::traceRunBegin(Algorithm algorithm, const Context &ctx)
     transform.tick = tracedCycles_;
     transform.kind = obs::EventKind::Transform;
     transform.arg[0] = ctx.reusedFromCache ? 1 : 0;
-    transform.arg[1] =
-        options_.dynamicMapping ? 0 : ctx.schedule->numUnits();
+    transform.arg[1] = ctx.units;
     options_.trace->record(transform);
 }
 
@@ -344,29 +439,52 @@ GraphEngine::traceRunEnd(const RunInfo &info)
     tracedCycles_ += info.stats.cycles;
 }
 
-template <typename Semiring>
-PushOutcome<Semiring>
+template <typename Result, typename Semiring>
+Result
 GraphEngine::runSemiring(
-    Context &ctx,
+    Algorithm algorithm,
     std::span<const std::pair<NodeId, typename Semiring::Value>> seeds,
     bool all_active, bool unit_weights)
 {
-    // The pull destination filter walks forward out-neighbors of a
-    // changed node; the engine's input graph has that topology for
-    // every pull context (pull refuses UDT up front).
-    const graph::Csr *forward = &graph_;
-    return withProvider(ctx, [&](const auto &provider) {
+    const auto host_start = std::chrono::steady_clock::now();
+    Context &ctx = context(algorithm);
+    traceRunBegin(algorithm, ctx);
+    auto outcome = withProvider(ctx, [&](const auto &provider) {
         auto run = [&](const auto &units) {
-            return options_.direction == Direction::Pull
-                       ? runPull<Semiring>(units, sim_, pushOptions(),
-                                           seeds, forward)
-                       : runPush<Semiring>(units, sim_, pushOptions(),
-                                           seeds, all_active);
+            if (options_.direction == Direction::Push)
+                return runPush<Semiring>(units, sim_, pushOptions(),
+                                         seeds, all_active);
+            // The pull destination filter walks forward out-neighbors
+            // of a changed node: the arena's (an arena pull always
+            // gathers over its reverse side), or the input graph's
+            // (pull refuses UDT up front).
+            using Provider = std::decay_t<decltype(provider)>;
+            if constexpr (std::is_same_v<Provider,
+                                         FamilyProvider<ArenaInSide>>)
+                return runPull<Semiring>(units, sim_, pushOptions(),
+                                         seeds, arena_);
+            else
+                return runPull<Semiring>(units, sim_, pushOptions(),
+                                         seeds, csr_);
         };
         if (unit_weights)
             return run(UnitWeightProvider(provider));
         return run(provider);
     });
+
+    Result result;
+    outcome.values.resize(numNodes()); // drop split-node slots
+    result.values = std::move(outcome.values);
+    result.info.iterations = outcome.iterations;
+    result.info.converged = outcome.converged;
+    result.info.cancelled = outcome.cancelled;
+    result.info.stats = outcome.stats;
+    result.info.peakFrontier = outcome.peakFrontier;
+    result.info.sparseIterations = outcome.sparseIterations;
+    fillRunInfo(result.info, ctx, algorithm);
+    traceRunEnd(result.info);
+    result.info.hostMs = elapsedMs(host_start);
+    return result;
 }
 
 void
@@ -376,120 +494,57 @@ GraphEngine::fillRunInfo(RunInfo &info, const Context &ctx,
     info.transformMs = ctx.buildMs;
     info.transformCached = ctx.reusedFromCache;
     info.degraded = options_.degraded;
-    // Dynamic mapping stores no virtual node array: that memory simply
-    // never exists on the device.
-    const std::uint64_t virtual_nodes =
-        options_.dynamicMapping ? 0 : ctx.schedule->numUnits();
-    info.footprintBytes = modeledFootprintBytes(
-        options_.strategy, algorithm, *ctx.scheduled, virtual_nodes);
+    info.footprintBytes = footprint(ctx, algorithm);
+}
+
+std::size_t
+GraphEngine::footprint(const Context &ctx, Algorithm algorithm) const
+{
+    // An arena's footprint is the live graph's; a dense context's is
+    // the graph its schedule indexes (UDT's transformed one).
+    if (arena_)
+        return modeledFootprintBytes(options_.strategy, algorithm,
+                                     arena_->numNodes(),
+                                     arena_->numEdges(), ctx.units);
+    return modeledFootprintBytes(options_.strategy, algorithm,
+                                 *ctx.scheduled, ctx.units);
 }
 
 DistancesResult
 GraphEngine::sssp(NodeId source)
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(Algorithm::Sssp, ContextKind::WeightedZero);
-    traceRunBegin(Algorithm::Sssp, ctx);
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
-    auto outcome =
-        runSemiring<algorithms::SsspSemiring>(ctx, seeds, false);
-
-    DistancesResult result;
-    outcome.values.resize(graph_.numNodes()); // drop split-node slots
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Sssp);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runSemiring<DistancesResult, algorithms::SsspSemiring>(
+        Algorithm::Sssp, seeds, false);
 }
 
 DistancesResult
 GraphEngine::bfs(NodeId source)
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    // Hop counts are SSSP over unit weights. The weighted context
-    // serves them through UnitWeightProvider; only TigrUdt needs its
-    // own unit-weight copy, whose split adds zero-weight dumb edges.
-    const bool udt = options_.strategy == Strategy::TigrUdt;
-    Context &ctx = context(Algorithm::Bfs, udt ? ContextKind::UnitZero
-                                               : ContextKind::WeightedZero);
-    traceRunBegin(Algorithm::Bfs, ctx);
+    // Hop counts are SSSP over unit weights.
     const std::pair<NodeId, Dist> seeds[] = {{source, 0}};
-    auto outcome =
-        runSemiring<algorithms::SsspSemiring>(ctx, seeds, false, !udt);
-
-    DistancesResult result;
-    outcome.values.resize(graph_.numNodes());
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Bfs);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runSemiring<DistancesResult, algorithms::SsspSemiring>(
+        Algorithm::Bfs, seeds, false,
+        options_.strategy != Strategy::TigrUdt);
 }
 
 WidthsResult
 GraphEngine::sswp(NodeId source)
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(Algorithm::Sswp, ContextKind::WeightedInf);
-    traceRunBegin(Algorithm::Sswp, ctx);
     const std::pair<NodeId, Weight> seeds[] = {{source, kInfWeight}};
-    auto outcome =
-        runSemiring<algorithms::SswpSemiring>(ctx, seeds, false);
-
-    WidthsResult result;
-    outcome.values.resize(graph_.numNodes());
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Sswp);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runSemiring<WidthsResult, algorithms::SswpSemiring>(
+        Algorithm::Sswp, seeds, false);
 }
 
 LabelsResult
 GraphEngine::cc()
 {
-    const auto host_start = std::chrono::steady_clock::now();
-    Context &ctx = context(Algorithm::Cc, ContextKind::WeightedZero);
-    traceRunBegin(Algorithm::Cc, ctx);
     std::vector<std::pair<NodeId, NodeId>> seeds;
-    seeds.reserve(graph_.numNodes());
-    for (NodeId v = 0; v < graph_.numNodes(); ++v)
+    seeds.reserve(numNodes());
+    for (NodeId v = 0; v < numNodes(); ++v)
         seeds.emplace_back(v, v);
-    auto outcome =
-        runSemiring<algorithms::CcSemiring>(ctx, seeds, true);
-
-    LabelsResult result;
-    outcome.values.resize(graph_.numNodes());
-    result.values = std::move(outcome.values);
-    result.info.iterations = outcome.iterations;
-    result.info.converged = outcome.converged;
-    result.info.cancelled = outcome.cancelled;
-    result.info.stats = outcome.stats;
-    result.info.peakFrontier = outcome.peakFrontier;
-    result.info.sparseIterations = outcome.sparseIterations;
-    fillRunInfo(result.info, ctx, Algorithm::Cc);
-    traceRunEnd(result.info);
-    result.info.hostMs = elapsedMs(host_start);
-    return result;
+    return runSemiring<LabelsResult, algorithms::CcSemiring>(
+        Algorithm::Cc, seeds, true);
 }
 
 RanksResult
@@ -510,7 +565,7 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
                           ScheduleSide::Reversed;
     Context &ctx = context(pull ? ContextKind::PullReversed
                                 : ContextKind::WeightedZero);
-    const NodeId n = graph_.numNodes();
+    const NodeId n = numNodes();
     if (n == 0)
         return {};
     traceRunBegin(Algorithm::Pr, ctx);
@@ -520,15 +575,16 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
     // even Gunrock's all-active advance does one atomicAdd per edge.
     const std::uint32_t scatter =
         pull && options_.strategy == Strategy::Cusha ? 0 : 1;
+    // Shares use the original outdegrees (Corollary 4).
+    auto degree_of = [&](NodeId v) {
+        return arena_  ? arena_->degree(v)
+               : pull ? ctx.reversed->outdegrees[v]
+                      : csr_->degree(v);
+    };
     RanksResult result = withProvider(ctx, [&](const auto &provider) {
-        return runPageRank(
-            provider,
-            [&](NodeId v) {
-                return pull ? ctx.reversed->outdegrees[v]
-                            : graph_.degree(v);
-            },
-            pull, scatter, costModelFor(options_.strategy), n,
-            pr_options, sim_, pushOptions());
+        return runPageRank(provider, degree_of, pull, scatter,
+                           costModelFor(options_.strategy), n,
+                           pr_options, sim_, pushOptions());
     });
     fillRunInfo(result.info, ctx, Algorithm::Pr);
     traceRunEnd(result.info);
@@ -545,9 +601,8 @@ GraphEngine::bc(std::span<const NodeId> sources)
             "tigr: BC is unsupported under the physical UDT strategy "
             "(hop-count Brandes does not survive node splitting)");
     }
-    Context &ctx = context(ContextKind::WeightedZero);
-    const graph::Csr &g = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
+    Context &ctx = context(Algorithm::Bc);
+    const NodeId n = numNodes();
     const CostModel cost = costModelFor(options_.strategy);
     traceRunBegin(Algorithm::Bc, ctx);
 
@@ -560,30 +615,23 @@ GraphEngine::bc(std::span<const NodeId> sources)
 
     // Launch the units of a node set, running `body` per owned edge.
     auto launch_nodes = [&](std::span<const NodeId> nodes, auto body) {
-        std::vector<WorkUnit> launch_units;
         withProvider(ctx, [&](const auto &provider) {
+            std::vector<WorkUnit> launch_units;
             for (NodeId v : nodes)
                 provider.forEachUnitOf(v, [&](const WorkUnit &unit) {
                     launch_units.push_back(unit);
                 });
+            result.info.stats += sim_.launch(
+                launch_units.size(), [&](std::uint64_t tid) {
+                    const WorkUnit &unit = launch_units[tid];
+                    for (std::uint32_t j = 0; j < unit.count; ++j) {
+                        const EdgeIndex e = unit.start +
+                            static_cast<EdgeIndex>(unit.stride) * j;
+                        body(unit.valueNode, provider.edgeTarget(e));
+                    }
+                    return detail::describeUnit(unit, cost);
+                });
         });
-        result.info.stats += sim_.launch(
-            launch_units.size(), [&](std::uint64_t tid) {
-                const WorkUnit &unit = launch_units[tid];
-                for (std::uint32_t j = 0; j < unit.count; ++j) {
-                    const EdgeIndex e = unit.start +
-                        static_cast<EdgeIndex>(unit.stride) * j;
-                    body(unit.valueNode, g.edgeTarget(e));
-                }
-                sim::ThreadWork work;
-                work.instructions =
-                    cost.threadOverhead + cost.perEdge * unit.count;
-                work.edgeCount = unit.count;
-                work.edgeStart = unit.start;
-                work.edgeStride = unit.stride;
-                work.scatterAccessesPerEdge = cost.scatterPerEdge;
-                return work;
-            });
         ++result.info.iterations;
     };
 
@@ -648,6 +696,11 @@ TrianglesResult
 GraphEngine::triangles()
 {
     const auto host_start = std::chrono::steady_clock::now();
+    if (arena_) {
+        throw std::invalid_argument(
+            "tigr: triangle counting needs row-sorted dense rows; run "
+            "it on an engine over the materialized graph");
+    }
     if (options_.strategy == Strategy::TigrUdt) {
         throw std::invalid_argument(
             "tigr: triangle counting is a neighborhood analysis and "
@@ -658,7 +711,7 @@ GraphEngine::triangles()
     Context &ctx = context(ContextKind::SortedRows);
     traceRunBegin(Algorithm::Cc, ctx);
     const graph::Csr &g = *ctx.scheduled;
-    const NodeId n = graph_.numNodes();
+    const NodeId n = numNodes();
     const CostModel cost = costModelFor(options_.strategy);
 
     TrianglesResult result;
@@ -754,13 +807,7 @@ GraphEngine::triangles()
 std::size_t
 GraphEngine::footprintBytes(Algorithm algorithm)
 {
-    Context &ctx = context(algorithm == Algorithm::Pr
-                               ? ContextKind::PullReversed
-                               : ContextKind::WeightedZero);
-    const std::uint64_t virtual_nodes =
-        options_.dynamicMapping ? 0 : ctx.schedule->numUnits();
-    return modeledFootprintBytes(options_.strategy, algorithm,
-                                 *ctx.scheduled, virtual_nodes);
+    return footprint(context(algorithm), algorithm);
 }
 
 } // namespace tigr::engine

@@ -2,13 +2,17 @@
  * @file
  * GraphEngine: the public entry point of the Tigr library.
  *
- * Construct one over a CSR graph with an EngineOptions (which picks the
- * scheduling strategy — baseline, Tigr physical/virtual, or one of the
- * modeled competing frameworks) and call the analysis you need. The
- * engine lazily builds and caches whatever the strategy requires (UDT
- * transformed graphs per weight policy, virtual node arrays, reversed
- * graphs for pull) and reports per-run simulator counters alongside the
- * results.
+ * Construct one over an edge source with an EngineOptions (which picks
+ * the scheduling strategy — baseline, Tigr physical/virtual, or one of
+ * the modeled competing frameworks) and call the analysis you need.
+ * The source is a CSR graph, or a mutated DynamicGraph whose slack
+ * arenas the virtual strategies read in place (push over the forward
+ * arena, pull over the reverse one), with no dense materialization.
+ * Over a CSR the engine lazily builds and caches whatever the strategy
+ * requires (UDT transformed graphs per weight policy, virtual node
+ * arrays, reversed graphs for pull); every analysis body is the same
+ * for both sources. Per-run simulator counters come back alongside
+ * the results.
  */
 #pragma once
 
@@ -23,6 +27,11 @@
 #include "engine/strategy.hpp"
 #include "graph/csr.hpp"
 #include "par/thread_pool.hpp"
+
+namespace tigr::dynamic {
+class DynamicGraph;
+class IncrementalVirtualizer;
+} // namespace tigr::dynamic
 
 namespace tigr::engine {
 
@@ -60,7 +69,7 @@ struct RunInfo
     std::uint64_t peakFrontier = 0;
     /** True when this run executed on a degradation fallback (copied
      *  from EngineOptions::degraded by the service layer's resilience
-     *  ladder — e.g. an on-the-fly DynamicVirtualProvider run after a
+     *  ladder — e.g. a run on on-the-fly families after a
      *  transform-cache failure). Degraded runs compute values
      *  bit-identical to their non-degraded counterparts; only the
      *  enumeration cost differs. */
@@ -204,9 +213,9 @@ std::unique_ptr<par::ThreadPool> enginePool(const EngineOptions &options);
 /**
  * Vertex-centric graph analytics engine over the simulated GPU.
  *
- * The referenced graph must outlive the engine. All analyses are
- * deterministic: the same graph and options produce bit-identical
- * results and identical simulator counters.
+ * The referenced graph (and maintained virtualizers) must outlive the
+ * engine. All analyses are deterministic: the same graph and options
+ * produce bit-identical results and identical simulator counters.
  */
 class GraphEngine
 {
@@ -224,12 +233,32 @@ class GraphEngine
                          std::shared_ptr<const SharedSchedule> shared =
                              nullptr);
 
+    /**
+     * Serve the analyses straight off a mutated DynamicGraph's slack
+     * arenas. Values equal those of an engine over graph.toCsr(); only
+     * arena slot numbers differ, which the simulator's coalescing
+     * counters may observe. Only the virtual strategies (TigrV /
+     * TigrV+) qualify, since their families are recomputable from
+     * arena geometry alone; triangles() throws.
+     *
+     * @param graph Mutated dynamic graph (kept by reference).
+     * @param forward Maintained Out-side arena virtualizer, or null.
+     * @param reverse Maintained In-side arena virtualizer, or null.
+     *        A virtualizer serves its side when its (K, layout, side)
+     *        matches the options and dynamic mapping is off; otherwise
+     *        families are enumerated on the fly, with identical
+     *        results, simulator counters included.
+     * @param options Strategy and tuning; must be TigrV or TigrV+.
+     * @throws std::invalid_argument for any other strategy.
+     */
+    GraphEngine(const dynamic::DynamicGraph &graph,
+                const dynamic::IncrementalVirtualizer *forward,
+                const dynamic::IncrementalVirtualizer *reverse,
+                EngineOptions options = {});
+
     ~GraphEngine();
     GraphEngine(const GraphEngine &) = delete;
     GraphEngine &operator=(const GraphEngine &) = delete;
-
-    /** The input graph. */
-    const graph::Csr &graph() const { return graph_; }
 
     /** The options the engine was built with. */
     const EngineOptions &options() const { return options_; }
@@ -285,12 +314,13 @@ class GraphEngine
      * destroy it (the paper's applicability discussion), so TigrUdt
      * throws std::invalid_argument; every other strategy — including
      * the virtual ones, whose physical graph is untouched — computes
-     * the exact count.
+     * the exact count. An engine over a DynamicGraph throws too.
      */
     TrianglesResult triangles();
 
     /** Modeled device footprint for running @p algorithm under the
-     *  engine's strategy. */
+     *  engine's strategy and direction: the footprintBytes the
+     *  analysis itself reports. */
     std::size_t footprintBytes(Algorithm algorithm);
 
   private:
@@ -310,10 +340,12 @@ class GraphEngine
     };
 
     Context &context(ContextKind kind);
-    /** The context @p algorithm runs over (forward kinds:
-     *  @p forward_kind) on the side scheduleSide() picks. */
-    Context &context(Algorithm algorithm, ContextKind forward_kind);
+    /** The context @p algorithm runs over: the side scheduleSide()
+     *  picks, with the weights the algorithm needs. */
+    Context &context(Algorithm algorithm);
     PushOptions pushOptions() const;
+    /** Node count of the input graph. */
+    NodeId numNodes() const;
 
     /** True when the injected shared schedule can serve @p ctx: same
      *  side, built over the engine's graph (or its reverse) with the
@@ -321,22 +353,25 @@ class GraphEngine
     bool sharedApplies(const Context &ctx, ScheduleSide side) const;
 
     /** Invoke @p fn with @p ctx's unit provider: the stored schedule,
-     *  or the on-the-fly one under dynamic mapping. */
+     *  or a FamilyProvider over the context's edge side (on-the-fly
+     *  under dynamic mapping, maintained on an arena when usable). */
     template <typename Fn>
     decltype(auto) withProvider(const Context &ctx, Fn &&fn) const;
 
-    /** Run a semiring analysis through the configured direction and
-     *  mapping mode; @p unit_weights reads every edge weight as 1. */
-    template <typename Semiring>
-    PushOutcome<Semiring>
-    runSemiring(Context &ctx,
-                std::span<const std::pair<
-                    NodeId, typename Semiring::Value>> seeds,
-                bool all_active, bool unit_weights = false);
+    /** Run a semiring analysis end to end through the configured
+     *  direction and mapping mode: context, trace and RunInfo included.
+     *  @p unit_weights reads every edge weight as 1. */
+    template <typename Result, typename Semiring>
+    Result runSemiring(Algorithm algorithm,
+                       std::span<const std::pair<
+                           NodeId, typename Semiring::Value>> seeds,
+                       bool all_active, bool unit_weights = false);
 
     /** Fill the strategy/transform metadata of @p info from @p ctx. */
     void fillRunInfo(RunInfo &info, const Context &ctx,
                      Algorithm algorithm) const;
+    /** Modeled footprint of @p algorithm over @p ctx. */
+    std::size_t footprint(const Context &ctx, Algorithm algorithm) const;
 
     /** Record RunBegin + Transform trace events for an analysis over
      *  @p ctx (no-op when tracing is off). */
@@ -346,7 +381,13 @@ class GraphEngine
      *  analyses on one sink monotonic. */
     void traceRunEnd(const RunInfo &info);
 
-    const graph::Csr &graph_;
+    /** The edge source: exactly one of the two is set. */
+    const graph::Csr *csr_ = nullptr;
+    const dynamic::DynamicGraph *arena_ = nullptr;
+    /** Arena sources: the maintained virtualizers usable under the
+     *  options, per side (null = on-the-fly families). */
+    const dynamic::IncrementalVirtualizer *forwardVirt_ = nullptr;
+    const dynamic::IncrementalVirtualizer *reverseVirt_ = nullptr;
     EngineOptions options_;
     /** Externally cached schedule (may be null). */
     std::shared_ptr<const SharedSchedule> shared_;

@@ -1,8 +1,7 @@
 /**
  * @file
- * The PageRank loop, written once over any unit provider (Schedule,
- * DynamicVirtualProvider, the arena providers); GraphEngine and
- * ArenaEngine both run it.
+ * The PageRank loop, written once over any unit provider (Schedule or
+ * FamilyProvider), for GraphEngine over either edge source.
  *
  * Push scatters each unit's rank share along its edges; pull gathers
  * the shares of each unit's in-neighbors into the unit's own node

@@ -5,10 +5,11 @@
  * whose correctness under virtualization is Theorem 3).
  *
  * Both are templates over a *unit provider* — Schedule (stored work
- * units) or DynamicVirtualProvider (on-the-fly mapping reasoning) —
- * and over a value semiring. Semantics run on the host, so results are
- * exact and deterministic; the WarpSimulator charges each launch's
- * warp occupancy, coalescing, and cycles (see DESIGN.md's substitution
+ * units) or FamilyProvider (virtual families over a CSR or a slack
+ * arena, maintained or recomputed on the fly) — and over a value
+ * semiring. Semantics run on the host, so results are exact and
+ * deterministic; the WarpSimulator charges each launch's warp
+ * occupancy, coalescing, and cycles (see DESIGN.md's substitution
  * note).
  *
  * Worklist iterations run through the adaptive Frontier (see
@@ -333,11 +334,10 @@ sparseIteration(const PushOptions &options, std::uint64_t count,
  * Run a push-based vertex-centric analysis.
  *
  * @tparam Semiring One of the semirings in algorithms/semirings.hpp.
- * @tparam Provider Schedule, DynamicVirtualProvider, or
- *         ArenaVirtualProvider. The driver reads edges exclusively
- *         through provider.edgeTarget/edgeWeight, so work-unit starts
- *         may index any edge array the provider owns — the dense CSR
- *         or the DynamicGraph slack arena.
+ * @tparam Provider Schedule or FamilyProvider. The driver reads
+ *         edges exclusively through provider.edgeTarget/edgeWeight, so
+ *         work-unit starts may index any edge array the provider owns
+ *         — the dense CSR or the DynamicGraph slack arena.
  * @param provider The work-unit decomposition to execute over.
  * @param sim Simulator charged for every launch.
  * @param options Iteration control.

@@ -106,7 +106,7 @@ class Schedule
     std::uint64_t numUnits() const { return units_.size(); }
 
     /** Number of units owned by value node @p v, O(1) off the offset
-     *  array (provider concept shared with DynamicVirtualProvider):
+     *  array (provider concept shared with FamilyProvider):
      *  what lets the drivers size a frontier's launch exactly before
      *  filling it. */
     std::uint64_t
@@ -128,7 +128,7 @@ class Schedule
     std::span<const WorkUnit> allUnits() const { return units_; }
 
     /** Visit the units of node @p v (provider concept shared with
-     *  DynamicVirtualProvider). */
+     *  FamilyProvider). */
     template <typename Fn>
     void
     forEachUnitOf(NodeId v, Fn &&fn) const

@@ -6,9 +6,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <thread>
 
-#include "engine/arena_engine.hpp"
 #include "graph/io.hpp"
 #include "par/thread_pool.hpp"
 
@@ -278,67 +278,37 @@ QueryScheduler::runAttempt(
     // Exercises real allocation-failure paths (raises bad_alloc).
     TIGR_FAULT_POINT(fault::Site::Alloc);
 
-    auto run = [&](auto &engine) {
-        switch (spec.algorithm) {
-      case engine::Algorithm::Bfs: {
-        auto r = engine.bfs(spec.source);
+    // Arena-served queries run straight off the live arena: no dense
+    // StoredGraph, no cached schedule, and values bit-identical to the
+    // dense path (the differential fuzz suite's invariant).
+    std::optional<engine::GraphEngine> engine;
+    if (arena_served) {
+        const ArenaView view = store_.arenaView(spec.graph);
+        engine.emplace(*view.graph, view.forward, view.reverse, opts);
+    } else {
+        engine.emplace(entry->graph, opts, shared);
+    }
+    auto take = [&result](const auto &r) {
         result.info = r.info;
         result.digest = digestOf(r.values);
         result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Sssp: {
-        auto r = engine.sssp(spec.source);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Sswp: {
-        auto r = engine.sswp(spec.source);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
-      case engine::Algorithm::Cc: {
-        auto r = engine.cc();
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
-        break;
-      }
+    };
+    switch (spec.algorithm) {
+      case engine::Algorithm::Bfs: take(engine->bfs(spec.source)); break;
+      case engine::Algorithm::Sssp: take(engine->sssp(spec.source)); break;
+      case engine::Algorithm::Sswp: take(engine->sswp(spec.source)); break;
+      case engine::Algorithm::Cc: take(engine->cc()); break;
       case engine::Algorithm::Pr: {
         engine::PageRankOptions pr;
         pr.iterations = spec.prIterations;
-        auto r = engine.pagerank(pr);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
+        take(engine->pagerank(pr));
         break;
       }
       case engine::Algorithm::Bc: {
         const std::array<NodeId, 1> sources{spec.source};
-        auto r = engine.bc(sources);
-        result.info = r.info;
-        result.digest = digestOf(r.values);
-        result.values = r.values.size();
+        take(engine->bc(sources));
         break;
       }
-        }
-    };
-    if (arena_served) {
-        // Straight off the live arena: no dense StoredGraph, no cached
-        // schedule. The providers enumerate the same units a dense
-        // schedule would, so values/digests are bit-identical to the
-        // dense path (the differential fuzz suite's invariant).
-        const ArenaView view = store_.arenaView(spec.graph);
-        engine::ArenaEngine engine(*view.graph, view.forward,
-                                   view.reverse, opts);
-        run(engine);
-    } else {
-        engine::GraphEngine engine(entry->graph, opts, shared);
-        run(engine);
     }
 }
 

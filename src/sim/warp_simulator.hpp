@@ -11,7 +11,7 @@
  * the costs the paper's analysis is about.
  *
  * Edge-array slots are opaque addresses to the simulator: an
- * arena-addressed provider (engine/arena_provider.hpp) hands it slots
+ * arena-side provider (engine/family_provider.hpp) hands it slots
  * in the DynamicGraph slack arena rather than a dense CSR, which can
  * shift memTransactions/coalescing accounting (segments relocate to
  * the arena tail as a graph mutates) but never any analysis value —

@@ -5,8 +5,9 @@
  * from-scratch dense rebuild after every batch, repair strictly
  * O(touched families) (untouched families never move), survive graph
  * and entry-arena compaction through rebase(), and drive the push
- * engine (ArenaVirtualProvider) to values bit-identical to a Schedule
- * over the dense CSR at every pool size and frontier mode.
+ * engine (a FamilyProvider over the forward arena) to values
+ * bit-identical to a Schedule over the dense CSR at every pool size
+ * and frontier mode.
  */
 #include <optional>
 #include <string>
@@ -19,7 +20,7 @@
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental_virtualizer.hpp"
 #include "dynamic/mutation.hpp"
-#include "engine/arena_provider.hpp"
+#include "engine/family_provider.hpp"
 #include "engine/push_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -381,7 +382,8 @@ TEST_P(ArenaEngine, SsspMatchesDenseScheduleAndOracle)
                 : engine::Strategy::TigrV;
         engine::Schedule schedule =
             engine::Schedule::build(fx.dense, strategy, 8, 4);
-        engine::ArenaVirtualProvider arena(fx.dg, fx.virt);
+        engine::FamilyProvider arena(engine::ArenaOutSide{&fx.dg}, 8,
+                                     layout, &fx.virt);
         sim::WarpSimulator sim;
         const std::pair<NodeId, Dist> seeds[] = {{0, 0}};
 
@@ -421,7 +423,9 @@ TEST_P(ArenaEngine, SswpMatchesDenseScheduleAndOracle)
     Fixture fx(transform::EdgeLayout::Coalesced);
     engine::Schedule schedule = engine::Schedule::build(
         fx.dense, engine::Strategy::TigrVPlus, 8, 4);
-    engine::ArenaVirtualProvider arena(fx.dg, fx.virt);
+    engine::FamilyProvider arena(engine::ArenaOutSide{&fx.dg}, 8,
+                                 transform::EdgeLayout::Coalesced,
+                                 &fx.virt);
     sim::WarpSimulator sim;
     const std::pair<NodeId, Weight> seeds[] = {{0, kInfWeight}};
 
@@ -458,7 +462,9 @@ TEST_P(ArenaEngine, CcMatchesDenseScheduleAcrossPools)
     Fixture fx(transform::EdgeLayout::Coalesced);
     engine::Schedule schedule = engine::Schedule::build(
         fx.dense, engine::Strategy::TigrVPlus, 8, 4);
-    engine::ArenaVirtualProvider arena(fx.dg, fx.virt);
+    engine::FamilyProvider arena(engine::ArenaOutSide{&fx.dg}, 8,
+                                 transform::EdgeLayout::Coalesced,
+                                 &fx.virt);
     sim::WarpSimulator sim;
     std::vector<std::pair<NodeId, NodeId>> seeds;
     for (NodeId v = 0; v < fx.dense.numNodes(); ++v)

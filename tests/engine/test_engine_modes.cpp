@@ -7,7 +7,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "engine/dynamic_provider.hpp"
+#include "engine/family_provider.hpp"
 #include "engine/graph_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -253,7 +253,7 @@ TEST(DynamicProvider, EnumeratesExactlyTheStoredUnits)
                 ? Strategy::TigrVPlus
                 : Strategy::TigrV,
             8);
-        DynamicVirtualProvider provider(g, 8, layout);
+        FamilyProvider provider(CsrSide{&g}, 8, layout);
         std::vector<WorkUnit> streamed;
         provider.forEachUnit(
             [&](const WorkUnit &u) { streamed.push_back(u); });

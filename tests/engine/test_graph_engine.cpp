@@ -217,6 +217,55 @@ TEST(GraphEngine, FootprintLargestForCusha)
               cusha.footprintBytes(Algorithm::Sssp) / 2);
 }
 
+/** Run @p algorithm on @p engine and return its RunInfo. */
+RunInfo
+runInfoOf(GraphEngine &engine, Algorithm algorithm)
+{
+    switch (algorithm) {
+      case Algorithm::Bfs: return engine.bfs(0).info;
+      case Algorithm::Sssp: return engine.sssp(0).info;
+      case Algorithm::Sswp: return engine.sswp(0).info;
+      case Algorithm::Cc: return engine.cc().info;
+      case Algorithm::Pr: return engine.pagerank().info;
+      case Algorithm::Bc: {
+        const NodeId sources[] = {0};
+        return engine.bc(sources).info;
+      }
+    }
+    return {};
+}
+
+TEST(GraphEngine, FootprintBytesMatchesTheRunsOwn)
+{
+    // rmat graphs are directed: in- and out-degrees differ, so a
+    // footprint counted over the wrong side's families shows.
+    graph::Csr g = weightedGraph(56);
+    for (Strategy strategy : kAllStrategies) {
+        for (Direction direction : {Direction::Push, Direction::Pull}) {
+            const bool udt = strategy == Strategy::TigrUdt;
+            if (udt && direction == Direction::Pull)
+                continue;
+            for (Algorithm algorithm :
+                 {Algorithm::Bfs, Algorithm::Sssp, Algorithm::Sswp,
+                  Algorithm::Cc, Algorithm::Pr, Algorithm::Bc}) {
+                if (udt && (algorithm == Algorithm::Pr ||
+                            algorithm == Algorithm::Bc))
+                    continue;
+                EngineOptions options = optionsFor(strategy);
+                options.direction = direction;
+                GraphEngine engine(g, options);
+                const std::size_t predicted =
+                    engine.footprintBytes(algorithm);
+                EXPECT_EQ(predicted,
+                          runInfoOf(engine, algorithm).footprintBytes)
+                    << strategyName(strategy) << ' '
+                    << (direction == Direction::Push ? "push" : "pull")
+                    << ' ' << algorithmName(algorithm);
+            }
+        }
+    }
+}
+
 TEST(GraphEngine, SimulatedCyclesAccumulateAcrossRuns)
 {
     graph::Csr g = weightedGraph(51);

@@ -1,7 +1,7 @@
 /**
  * @file
  * PageRank through the shared loop (engine/pagerank.hpp), on both
- * engines — GraphEngine over a dense CSR, ArenaEngine over a
+ * edge sources — GraphEngine over a dense CSR and over a
  * DynamicGraph's slack arenas — in push and pull direction:
  *
  *  - ranks, simulator counters and per-iteration trace events are
@@ -23,7 +23,6 @@
 
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental_virtualizer.hpp"
-#include "engine/arena_engine.hpp"
 #include "engine/graph_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -58,8 +57,8 @@ struct Observed
     std::string trace;
 };
 
-/** Runs PR on either engine over one graph; the arena side keeps its
- *  DynamicGraph and maintained virtualizers alive. */
+/** Runs PR on either edge source of one graph; the arena side keeps
+ *  its DynamicGraph and maintained virtualizers alive. */
 class Runner
 {
   public:
@@ -97,7 +96,7 @@ class Runner
             GraphEngine engine(graph_, options);
             out.result = engine.pagerank(pr);
         } else {
-            ArenaEngine engine(dynamic_, &*forward_, &*reverse_, options);
+            GraphEngine engine(dynamic_, &*forward_, &*reverse_, options);
             out.result = engine.pagerank(pr);
         }
         out.events = sink.events();
