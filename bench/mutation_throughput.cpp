@@ -3,18 +3,16 @@
  * Dynamic-graph maintenance benchmark: the mutation hot path, measured
  * and gated four ways (docs/dynamic.md).
  *
- *   1. Uniform regime — dense-addressed incremental repair
+ *   1. Uniform regime — incremental arena repair
  *      (IncrementalVirtualizer::applyDelta) versus a from-scratch
  *      VirtualGraph retransform after each batch, across K in
  *      {2, 8, 32} and both edge layouts. Gate: >= 5x at <= 1% of the
  *      edge set mutated per epoch.
  *   2. Suffix-dominated regime — every edit lands on low vertex ids
- *      (GeneratorSpec::hotSpan), so a dense-addressed repair must
- *      shift (nearly) the whole start suffix while the arena-addressed
- *      repair touches only the mutated families. Batches are <= 0.1%
- *      of the edge set. Gate: arena repair >= 20x the full rebuild;
- *      the old (dense) and new (arena) repair cost per batch is
- *      reported side by side.
+ *      (GeneratorSpec::hotSpan): the full rebuild still pays for every
+ *      vertex, while the repair touches only the mutated families.
+ *      Batches are <= 0.1% of the edge set. Gate: arena repair >= 20x
+ *      the full rebuild.
  *   3. O(touched) gate — the same explicit insert/delete batches (all
  *      ids < 64) applied to structurally identical graphs of size n
  *      and 4n must produce identical RepairStats counters: work
@@ -93,46 +91,75 @@ layoutName(transform::EdgeLayout layout)
                                                       : "consecutive";
 }
 
-// ---------------------------------------------------------------- 1.
+// ------------------------------------------------------------ 1 and 2.
+
+/** How a repair section draws its batches and what it asserts. */
+struct Regime
+{
+    const char *title;
+    /** Mutations per round: numEdges / budgetDivisor (at least 30),
+     *  split evenly into inserts, deletes and reweights. */
+    std::size_t budgetDivisor;
+    /** GeneratorSpec::hotSpan: 0 = uniform over all vertices. */
+    NodeId hotSpan;
+    std::uint64_t seedBase;
+    double requiredSpeedup;
+};
+
+/** Uniform: <= 1% of the edge set per epoch (0.125% across the three
+ *  kinds), the streaming-batch regime the subsystem targets. */
+constexpr Regime kUniform{
+    "[1] uniform regime: arena repair vs full retransform (<= 1% "
+    "edges/batch)",
+    800, 0, 1000, 5.0};
+
+/** Suffix-dominated: <= 0.1% of the edge set per epoch, all of it on
+ *  the first 64 vertex ids, so the full rebuild still pays for every
+ *  vertex while the repair touches only the mutated families. */
+constexpr Regime kSuffix{
+    "[2] suffix-dominated regime: edits on vertex ids < 64 (<= 0.1% "
+    "edges/batch); arena repair vs full rebuild",
+    1000, 64, 7000, 20.0};
 
 struct RowResult
 {
-    std::vector<double> incrementalMs;
+    std::vector<double> repairMs;
     std::vector<double> rebuildMs;
     bool diverged = false;
     std::size_t mutationsPerRound = 0;
 };
 
-/** Run @p rounds uniform mutation epochs at (K, layout), timing
- *  dense-addressed incremental repair against a full retransform of
- *  the same post-batch graph. */
+/** Run @p rounds mutation epochs of @p regime at (K, layout), timing
+ *  incremental arena repair against a full retransform of the same
+ *  post-batch graph. */
 RowResult
-runUniformRow(const graph::Csr &start, NodeId k,
-              transform::EdgeLayout layout, std::size_t rounds)
+runRepairRow(const graph::Csr &start, NodeId k,
+             transform::EdgeLayout layout, std::size_t rounds,
+             const Regime &regime)
 {
     dynamic::DynamicGraph dg(start);
     dynamic::IncrementalVirtualizer virt(dg, k, layout);
     RowResult row;
 
-    // <= 1% of the edge set per epoch: 0.125% inserts+deletes+reweights
-    // split evenly, the streaming-batch regime the subsystem targets.
     const std::size_t budget = std::max<std::size_t>(
-        30, static_cast<std::size_t>(start.numEdges()) / 800);
+        30, static_cast<std::size_t>(start.numEdges()) /
+                regime.budgetDivisor);
     dynamic::GeneratorSpec spec;
     spec.inserts = budget / 3;
     spec.deletes = budget / 3;
     spec.reweights = budget / 3;
+    spec.hotSpan = regime.hotSpan;
     row.mutationsPerRound = spec.inserts + spec.deletes + spec.reweights;
 
     for (std::size_t round = 0; round < rounds; ++round) {
-        spec.seed = 1000 + round;
+        spec.seed = regime.seedBase + round;
         const dynamic::MutationBatch batch =
             dynamic::generateBatch(dg.toCsr(), spec);
         const dynamic::EpochDelta delta = dg.apply(batch);
 
         const Clock::time_point repair_start = Clock::now();
         virt.applyDelta(delta);
-        row.incrementalMs.push_back(msSince(repair_start));
+        row.repairMs.push_back(msSince(repair_start));
 
         // The full retransform pays for both steps the incremental
         // path skips: materializing the dense CSR and re-splitting
@@ -142,7 +169,7 @@ runUniformRow(const graph::Csr &start, NodeId k,
         const transform::VirtualGraph rebuilt(dense, k, layout);
         row.rebuildMs.push_back(msSince(rebuild_start));
 
-        if (rebuilt.virtualNodes().size() != virt.virtualNodes().size())
+        if (rebuilt.virtualNodes().size() != virt.numEntries())
             row.diverged = true;
         if (const std::optional<std::string> divergence =
                 dynamic::differentialCheck(dg, virt)) {
@@ -150,18 +177,21 @@ runUniformRow(const graph::Csr &start, NodeId k,
                       << *divergence << '\n';
             row.diverged = true;
         }
-        if (dg.shouldCompact())
+        if (dg.shouldCompact()) {
             dg.compact();
+            virt.rebase();
+        } else if (virt.shouldCompactEntries()) {
+            virt.rebase();
+        }
     }
     return row;
 }
 
 bool
-uniformSection(const graph::Csr &start, std::size_t rounds)
+repairSection(const graph::Csr &start, std::size_t rounds,
+              const Regime &regime)
 {
-    const double required_speedup = 5.0;
-    std::cout << "[1] uniform regime: dense-addressed repair vs full "
-                 "retransform (<= 1% edges/batch)\n\n";
+    std::cout << regime.title << "\n\n";
     bench::TablePrinter table({"K", "layout", "mut/round", "repair ms",
                                "rebuild ms", "speedup", "verdict"});
     bool pass = true;
@@ -174,18 +204,17 @@ uniformSection(const graph::Csr &start, std::size_t rounds)
             // by machine noise, which is additive and must not decide
             // the asserted verdict either way.
             const RowResult trials[] = {
-                runUniformRow(start, k, layout, rounds),
-                runUniformRow(start, k, layout, rounds),
-                runUniformRow(start, k, layout, rounds)};
+                runRepairRow(start, k, layout, rounds, regime),
+                runRepairRow(start, k, layout, rounds, regime),
+                runRepairRow(start, k, layout, rounds, regime)};
             double repair_ms = 0.0;
             double rebuild_ms = 0.0;
             bool diverged = false;
             for (std::size_t r = 0; r < rounds; ++r) {
-                double best_repair = trials[0].incrementalMs[r];
+                double best_repair = trials[0].repairMs[r];
                 double best_rebuild = trials[0].rebuildMs[r];
                 for (const RowResult &t : trials) {
-                    best_repair =
-                        std::min(best_repair, t.incrementalMs[r]);
+                    best_repair = std::min(best_repair, t.repairMs[r]);
                     best_rebuild =
                         std::min(best_rebuild, t.rebuildMs[r]);
                 }
@@ -196,8 +225,9 @@ uniformSection(const graph::Csr &start, std::size_t rounds)
                 diverged = diverged || t.diverged;
             const double speedup = repair_ms > 0.0
                                        ? rebuild_ms / repair_ms
-                                       : required_speedup;
-            const bool ok = !diverged && speedup >= required_speedup;
+                                       : regime.requiredSpeedup;
+            const bool ok =
+                !diverged && speedup >= regime.requiredSpeedup;
             pass = pass && ok;
             table.addRow(
                 {std::to_string(k), layoutName(layout),
@@ -208,142 +238,9 @@ uniformSection(const graph::Csr &start, std::size_t rounds)
         }
     }
     table.print(std::cout);
-    std::cout << "\n";
-    return pass;
-}
-
-// ---------------------------------------------------------------- 2.
-
-struct SuffixRow
-{
-    std::vector<double> denseMs;
-    std::vector<double> arenaMs;
-    std::vector<double> rebuildMs;
-    bool diverged = false;
-    std::size_t mutationsPerRound = 0;
-};
-
-/** Run @p rounds suffix-dominated epochs at (K, layout): every edit
- *  lands on vertex ids < hotSpan, the worst case for dense-addressed
- *  starts (whole-suffix shift) and the best case for arena addressing
- *  (only the touched families move). Dense and arena virtualizers
- *  consume the same deltas over the same graph. */
-SuffixRow
-runSuffixRow(const graph::Csr &start, NodeId k,
-             transform::EdgeLayout layout, std::size_t rounds)
-{
-    dynamic::DynamicGraph dg(start);
-    dynamic::IncrementalVirtualizer dense_virt(dg, k, layout);
-    dynamic::IncrementalVirtualizer arena_virt(
-        dg, k, layout, dynamic::StartAddressing::Arena);
-    SuffixRow row;
-
-    // <= 0.1% of the edge set per epoch, all of it on the first 64
-    // vertex ids: the suffix-dominated streaming regime.
-    const std::size_t budget = std::max<std::size_t>(
-        30, static_cast<std::size_t>(start.numEdges()) / 1000);
-    dynamic::GeneratorSpec spec;
-    spec.inserts = budget / 3;
-    spec.deletes = budget / 3;
-    spec.reweights = budget / 3;
-    spec.hotSpan = 64;
-    row.mutationsPerRound = spec.inserts + spec.deletes + spec.reweights;
-
-    for (std::size_t round = 0; round < rounds; ++round) {
-        spec.seed = 7000 + round;
-        const dynamic::MutationBatch batch =
-            dynamic::generateBatch(dg.toCsr(), spec);
-        const dynamic::EpochDelta delta = dg.apply(batch);
-
-        const Clock::time_point dense_start = Clock::now();
-        dense_virt.applyDelta(delta);
-        row.denseMs.push_back(msSince(dense_start));
-
-        const Clock::time_point arena_start = Clock::now();
-        arena_virt.applyDelta(delta);
-        row.arenaMs.push_back(msSince(arena_start));
-
-        const Clock::time_point rebuild_start = Clock::now();
-        const graph::Csr dense = dg.toCsr();
-        const transform::VirtualGraph rebuilt(dense, k, layout);
-        row.rebuildMs.push_back(msSince(rebuild_start));
-
-        if (rebuilt.virtualNodes().size() != arena_virt.numEntries())
-            row.diverged = true;
-        if (const std::optional<std::string> divergence =
-                dynamic::differentialCheck(dg, arena_virt)) {
-            std::cerr << "ARENA DIVERGED at round " << round << ": "
-                      << *divergence << '\n';
-            row.diverged = true;
-        }
-        if (dg.shouldCompact()) {
-            dg.compact();
-            arena_virt.rebase();
-        } else if (arena_virt.shouldCompactEntries()) {
-            arena_virt.rebase();
-        }
-    }
-    return row;
-}
-
-bool
-suffixSection(const graph::Csr &start, std::size_t rounds)
-{
-    const double required_speedup = 20.0;
-    std::cout << "[2] suffix-dominated regime: edits on vertex ids "
-                 "< 64 (<= 0.1% edges/batch); old (dense) vs new "
-                 "(arena) repair cost per batch\n\n";
-    bench::TablePrinter table({"K", "layout", "mut/round", "dense ms",
-                               "arena ms", "rebuild ms", "arena-vs-"
-                               "rebuild", "verdict"});
-    bool pass = true;
-    for (const NodeId k : {NodeId{2}, NodeId{8}, NodeId{32}}) {
-        for (const transform::EdgeLayout layout :
-             {transform::EdgeLayout::Consecutive,
-              transform::EdgeLayout::Coalesced}) {
-            const SuffixRow trials[] = {
-                runSuffixRow(start, k, layout, rounds),
-                runSuffixRow(start, k, layout, rounds),
-                runSuffixRow(start, k, layout, rounds)};
-            double dense_ms = 0.0;
-            double arena_ms = 0.0;
-            double rebuild_ms = 0.0;
-            bool diverged = false;
-            for (std::size_t r = 0; r < rounds; ++r) {
-                double best_dense = trials[0].denseMs[r];
-                double best_arena = trials[0].arenaMs[r];
-                double best_rebuild = trials[0].rebuildMs[r];
-                for (const SuffixRow &t : trials) {
-                    best_dense = std::min(best_dense, t.denseMs[r]);
-                    best_arena = std::min(best_arena, t.arenaMs[r]);
-                    best_rebuild =
-                        std::min(best_rebuild, t.rebuildMs[r]);
-                }
-                dense_ms += best_dense;
-                arena_ms += best_arena;
-                rebuild_ms += best_rebuild;
-            }
-            for (const SuffixRow &t : trials)
-                diverged = diverged || t.diverged;
-            const double speedup = arena_ms > 0.0
-                                       ? rebuild_ms / arena_ms
-                                       : required_speedup;
-            const bool ok = !diverged && speedup >= required_speedup;
-            pass = pass && ok;
-            table.addRow(
-                {std::to_string(k), layoutName(layout),
-                 std::to_string(trials[0].mutationsPerRound),
-                 bench::fmt(dense_ms), bench::fmt(arena_ms),
-                 bench::fmt(rebuild_ms), bench::fmt(speedup, 1),
-                 diverged ? "DIVERGED" : (ok ? "pass" : "FAIL")});
-        }
-    }
-    table.print(std::cout);
-    std::cout << "\nverdict: arena repair "
-              << (pass ? "is" : "IS NOT") << " >= "
-              << bench::fmt(required_speedup, 0)
-              << "x faster than a full rebuild on suffix-dominated "
-                 "batches\n\n";
+    std::cout << "\nverdict: arena repair " << (pass ? "is" : "IS NOT")
+              << " >= " << bench::fmt(regime.requiredSpeedup, 0)
+              << "x faster than a full rebuild\n\n";
     return pass;
 }
 
@@ -372,15 +269,13 @@ touchedGateGraph(NodeId nodes)
 }
 
 /** Apply two explicit batches (inserts, then deletes; all ids < 64) to
- *  a fresh arena virtualizer over @p g and return the per-batch
- *  stats. */
+ *  a fresh virtualizer over @p g and return the per-batch stats. */
 std::vector<dynamic::RepairStats>
 runTouchedGate(const graph::Csr &g, NodeId k,
                transform::EdgeLayout layout)
 {
     dynamic::DynamicGraph dg(g);
-    dynamic::IncrementalVirtualizer virt(
-        dg, k, layout, dynamic::StartAddressing::Arena);
+    dynamic::IncrementalVirtualizer virt(dg, k, layout);
     std::vector<dynamic::RepairStats> stats;
 
     dynamic::MutationBatch inserts;
@@ -416,8 +311,7 @@ touchedSection()
     const graph::Csr big = touchedGateGraph(small_n * 4);
 
     bench::TablePrinter table({"K", "layout", "batch", "repaired",
-                               "resplit", "relocated", "shifted",
-                               "verdict"});
+                               "resplit", "relocated", "verdict"});
     bool pass = true;
     for (const NodeId k : {NodeId{2}, NodeId{8}, NodeId{32}}) {
         for (const transform::EdgeLayout layout :
@@ -432,20 +326,16 @@ touchedSection()
                  ++b) {
                 const dynamic::RepairStats &s = small_stats[b];
                 const dynamic::RepairStats &l = big_stats[b];
-                const bool equal =
+                const bool ok =
                     s.repairedVertices == l.repairedVertices &&
                     s.resplitFamilies == l.resplitFamilies &&
-                    s.relocatedFamilies == l.relocatedFamilies &&
-                    s.shiftedEntries == l.shiftedEntries;
-                // Arena addressing never shifts untouched entries.
-                const bool ok = equal && s.shiftedEntries == 0;
+                    s.relocatedFamilies == l.relocatedFamilies;
                 pass = pass && ok;
                 table.addRow({std::to_string(k), layoutName(layout),
                               b == 0 ? "insert" : "delete",
                               std::to_string(s.repairedVertices),
                               std::to_string(s.resplitFamilies),
                               std::to_string(s.relocatedFamilies),
-                              std::to_string(s.shiftedEntries),
                               ok ? "pass" : "FAIL"});
             }
         }
@@ -467,8 +357,7 @@ threadsSection(const graph::Csr &start, unsigned max_threads)
 
     dynamic::DynamicGraph dg(start);
     dynamic::IncrementalVirtualizer virt(
-        dg, 8, transform::EdgeLayout::Coalesced,
-        dynamic::StartAddressing::Arena);
+        dg, 8, transform::EdgeLayout::Coalesced);
     // A few suffix-dominated batches first, so the rebase sweeps a
     // mutated arena rather than the pristine build.
     dynamic::GeneratorSpec spec;
@@ -546,11 +435,9 @@ runPullRow(const graph::Csr &start, std::size_t rounds)
     const transform::EdgeLayout layout =
         transform::EdgeLayout::Coalesced;
     dynamic::DynamicGraph dg(start);
-    dynamic::IncrementalVirtualizer forward(
-        dg, k, layout, dynamic::StartAddressing::Arena);
-    dynamic::IncrementalVirtualizer reverse(
-        dg, k, layout, dynamic::StartAddressing::Arena, nullptr,
-        dynamic::GraphSide::In);
+    dynamic::IncrementalVirtualizer forward(dg, k, layout);
+    dynamic::IncrementalVirtualizer reverse(dg, k, layout, nullptr,
+                                            dynamic::GraphSide::In);
     PullRow row;
 
     const std::size_t budget = std::max<std::size_t>(
@@ -691,8 +578,8 @@ main(int argc, char **argv)
               << " rounds)\n\n";
 
     bool pass = true;
-    pass = uniformSection(start, rounds) && pass;
-    pass = suffixSection(start, 8) && pass;
+    pass = repairSection(start, rounds, kUniform) && pass;
+    pass = repairSection(start, 8, kSuffix) && pass;
     pass = touchedSection() && pass;
     pass = threadsSection(start, max_threads) && pass;
     pass = pullSection(start, 6) && pass;

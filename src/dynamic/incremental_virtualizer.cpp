@@ -1,7 +1,7 @@
 #include "dynamic/incremental_virtualizer.hpp"
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -62,44 +62,14 @@ IncrementalVirtualizer::sideTouched(const EpochDelta &delta) const
 
 IncrementalVirtualizer::IncrementalVirtualizer(
     const DynamicGraph &graph, NodeId degree_bound, EdgeLayout layout,
-    StartAddressing addressing, par::ThreadPool *pool, GraphSide side)
-    : degreeBound_(degree_bound), layout_(layout),
-      addressing_(addressing), side_(side), epoch_(graph.epoch()),
-      graph_(&graph)
+    par::ThreadPool *pool, GraphSide side)
+    : degreeBound_(degree_bound), layout_(layout), side_(side),
+      epoch_(graph.epoch()), graph_(&graph)
 {
     if (degree_bound == 0)
         throw std::invalid_argument(
             "tigr: virtual degree bound must be positive");
-    const NodeId n = graph.numNodes();
-    if (addressing_ == StartAddressing::Arena) {
-        rebuildArena(pool);
-        return;
-    }
-    vbase_.resize(static_cast<std::size_t>(n) + 1);
-    begins_.resize(static_cast<std::size_t>(n) + 1);
-    EdgeIndex edge_cursor = 0;
-    EdgeIndex entry_cursor = 0;
-    for (NodeId v = 0; v < n; ++v) {
-        begins_[v] = edge_cursor;
-        vbase_[v] = entry_cursor;
-        const EdgeIndex d = sideDegree(v);
-        entry_cursor += familySize(d, degree_bound);
-        edge_cursor += d;
-    }
-    begins_[n] = edge_cursor;
-    vbase_[n] = entry_cursor;
-    nodes_.resize(entry_cursor);
-    par::parallelFor(pool, n, par::kDefaultGrain,
-                     [&](std::uint64_t i, unsigned) {
-                         const NodeId v = static_cast<NodeId>(i);
-                         std::size_t slot = vbase_[v];
-                         forEachVirtualNodeAt(
-                             v, begins_[v], sideDegree(v),
-                             degreeBound_, layout_,
-                             [&](const VirtualNode &node) {
-                                 nodes_[slot++] = node;
-                             });
-                     });
+    rebuildArena(pool);
 }
 
 void
@@ -142,10 +112,6 @@ IncrementalVirtualizer::rebuildArena(par::ThreadPool *pool)
 RepairStats
 IncrementalVirtualizer::rebase(par::ThreadPool *pool)
 {
-    if (addressing_ != StartAddressing::Arena)
-        throw std::logic_error(
-            "tigr: rebase() is an arena-addressing operation; dense "
-            "starts survive graph compaction unchanged");
     RepairStats stats;
     stats.entriesBefore = liveEntries_;
     rebuildArena(pool);
@@ -162,32 +128,21 @@ IncrementalVirtualizer::rebase(par::ThreadPool *pool)
 void
 IncrementalVirtualizer::requireFreshSlots(const char *what) const
 {
-    if (addressing_ != StartAddressing::Arena)
-        return;
     if (graph_->compactions() != compactionsSeen_)
         throw std::logic_error(
             std::string("tigr: ") + what +
-            " on an arena-addressed virtual array after "
-            "DynamicGraph::compact(); call rebase() first");
+            " on a virtual array after DynamicGraph::compact(); call "
+            "rebase() first");
 }
 
 RepairStats
-IncrementalVirtualizer::applyDelta(const EpochDelta &delta,
-                                   par::ThreadPool *pool)
+IncrementalVirtualizer::applyDelta(const EpochDelta &delta)
 {
     if (delta.epoch != epoch_ + 1)
         throw std::invalid_argument(
             "tigr: delta for epoch " + std::to_string(delta.epoch) +
             " applied to virtual array at epoch " +
             std::to_string(epoch_));
-    if (addressing_ == StartAddressing::Arena)
-        return applyDeltaArena(delta);
-    return applyDeltaDense(delta, pool);
-}
-
-RepairStats
-IncrementalVirtualizer::applyDeltaArena(const EpochDelta &delta)
-{
     requireFreshSlots("applyDelta");
     RepairStats stats;
     stats.entriesBefore = liveEntries_;
@@ -237,213 +192,9 @@ IncrementalVirtualizer::applyDeltaArena(const EpochDelta &delta)
     return stats;
 }
 
-RepairStats
-IncrementalVirtualizer::applyDeltaDense(const EpochDelta &delta,
-                                        par::ThreadPool *pool)
-{
-    RepairStats stats;
-    stats.entriesBefore = nodes_.size();
-
-    // Reweight-only touches change no degree, hence no family.
-    const std::vector<TouchedVertex> &touched = sideTouched(delta);
-    std::vector<const TouchedVertex *> changed;
-    changed.reserve(touched.size());
-    for (const TouchedVertex &t : touched)
-        if (t.oldDegree != t.newDegree)
-            changed.push_back(&t);
-
-    if (changed.empty()) {
-        epoch_ = delta.epoch;
-        stats.epoch = epoch_;
-        stats.entriesAfter = nodes_.size();
-        return stats;
-    }
-
-    const NodeId n = static_cast<NodeId>(begins_.size() - 1);
-    const NodeId first = changed.front()->vertex;
-
-    // The repair is fully in place. Between changed families the array
-    // splits into runs of untouched entries; a run's destination and
-    // start adjustment are pure prefix sums of the family-size and
-    // degree deltas, so everything is planned before a byte moves.
-    // Runs whose cumulative entry delta is zero never move — when the
-    // cumulative edge delta is also zero they cost literally nothing,
-    // otherwise a single in-place `start +=` sweep. Runs that do move
-    // go left in a forward pass and right in a backward pass, which
-    // never clobbers an unread source (destinations are disjoint and
-    // ordered, so a left move writes below every later source and a
-    // right move above every earlier destination). That caps the
-    // repair at one read-modify-write of the affected suffix plus
-    // O(changed families) of real re-splitting. The element-wise
-    // offset and start sweeps parallelize over @p pool (disjoint
-    // slots, bit-identical at any thread count); the run moves stay
-    // serial — their in-place ordering is what makes them safe.
-    struct Run
-    {
-        EdgeIndex srcLo, srcHi, dst;
-        std::int64_t startDelta;
-    };
-    struct Fam
-    {
-        NodeId vertex;
-        EdgeIndex dst, newBegin, newDegree;
-    };
-    std::vector<Run> runs;
-    runs.reserve(changed.size() + 1);
-    std::vector<Fam> fams;
-    fams.reserve(changed.size());
-
-    std::int64_t edge_delta = 0;
-    std::int64_t entry_delta = 0;
-    EdgeIndex prev_entry_hi = vbase_[first];
-    NodeId prev_vertex = first;
-    // Offset fix-up for untouched vertices [lo, hi]; skips any array
-    // whose running delta is zero, one fused pass when both moved.
-    const auto shiftOffsets = [&](NodeId lo, NodeId hi) {
-        const std::uint64_t count =
-            static_cast<std::uint64_t>(hi) - lo + 1;
-        const std::int64_t edelta = edge_delta;
-        const std::int64_t vdelta = entry_delta;
-        if (edelta != 0 && vdelta != 0) {
-            par::parallelFor(
-                pool, count, par::kDefaultGrain,
-                [&, lo](std::uint64_t i, unsigned) {
-                    const std::size_t w = lo + i;
-                    begins_[w] = static_cast<EdgeIndex>(
-                        static_cast<std::int64_t>(begins_[w]) +
-                        edelta);
-                    vbase_[w] = static_cast<EdgeIndex>(
-                        static_cast<std::int64_t>(vbase_[w]) +
-                        vdelta);
-                });
-        } else if (edelta != 0) {
-            par::parallelFor(
-                pool, count, par::kDefaultGrain,
-                [&, lo](std::uint64_t i, unsigned) {
-                    const std::size_t w = lo + i;
-                    begins_[w] = static_cast<EdgeIndex>(
-                        static_cast<std::int64_t>(begins_[w]) +
-                        edelta);
-                });
-        } else if (vdelta != 0) {
-            par::parallelFor(
-                pool, count, par::kDefaultGrain,
-                [&, lo](std::uint64_t i, unsigned) {
-                    const std::size_t w = lo + i;
-                    vbase_[w] = static_cast<EdgeIndex>(
-                        static_cast<std::int64_t>(vbase_[w]) +
-                        vdelta);
-                });
-        }
-    };
-    for (const TouchedVertex *t : changed) {
-        const NodeId v = t->vertex;
-        const EdgeIndex old_lo = vbase_[v];
-        const EdgeIndex old_hi = vbase_[v + 1];
-        const EdgeIndex old_family = old_hi - old_lo;
-        const EdgeIndex new_family =
-            familySize(t->newDegree, degreeBound_);
-        runs.push_back({prev_entry_hi, old_lo,
-                        static_cast<EdgeIndex>(
-                            static_cast<std::int64_t>(prev_entry_hi) +
-                            entry_delta),
-                        edge_delta});
-        if (v > prev_vertex)
-            shiftOffsets(prev_vertex, v - 1);
-        const EdgeIndex new_begin = static_cast<EdgeIndex>(
-            static_cast<std::int64_t>(begins_[v]) + edge_delta);
-        const EdgeIndex fam_dst = static_cast<EdgeIndex>(
-            static_cast<std::int64_t>(old_lo) + entry_delta);
-        fams.push_back({v, fam_dst, new_begin, t->newDegree});
-        begins_[v] = new_begin;
-        vbase_[v] = fam_dst;
-        if (new_family != old_family)
-            ++stats.resplitFamilies;
-        ++stats.repairedVertices;
-        edge_delta += static_cast<std::int64_t>(t->newDegree) -
-                      static_cast<std::int64_t>(t->oldDegree);
-        entry_delta += static_cast<std::int64_t>(new_family) -
-                       static_cast<std::int64_t>(old_family);
-        prev_entry_hi = old_hi;
-        prev_vertex = v + 1;
-    }
-    runs.push_back({prev_entry_hi,
-                    static_cast<EdgeIndex>(nodes_.size()),
-                    static_cast<EdgeIndex>(
-                        static_cast<std::int64_t>(prev_entry_hi) +
-                        entry_delta),
-                    edge_delta});
-    shiftOffsets(prev_vertex, n);
-
-    const std::size_t new_size = static_cast<std::size_t>(
-        static_cast<std::int64_t>(nodes_.size()) + entry_delta);
-    if (new_size > nodes_.size())
-        nodes_.resize(new_size);
-
-    // memmove plus a separate vectorizable start sweep beats a fused
-    // element loop ~3x: the struct-wise copy defeats SIMD, the split
-    // passes don't, and the run usually still sits in cache for the
-    // second pass.
-    const auto moveRun = [&](const Run &r) {
-        const std::size_t count = r.srcHi - r.srcLo;
-        if (count == 0)
-            return;
-        VirtualNode *const base = nodes_.data();
-        if (r.dst != r.srcLo) {
-            // Short runs dodge the memmove call overhead — with a few
-            // thousand families changed per batch most runs are tiny.
-            if (count >= 16) {
-                std::memmove(base + r.dst, base + r.srcLo,
-                             count * sizeof(VirtualNode));
-            } else if (r.dst < r.srcLo) {
-                for (std::size_t i = 0; i < count; ++i)
-                    base[r.dst + i] = base[r.srcLo + i];
-            } else {
-                for (std::size_t i = count; i-- > 0;)
-                    base[r.dst + i] = base[r.srcLo + i];
-            }
-        }
-        if (r.startDelta != 0) {
-            VirtualNode *const run = base + r.dst;
-            const std::int64_t sdelta = r.startDelta;
-            par::parallelFor(pool, count, par::kDefaultGrain,
-                             [&](std::uint64_t i, unsigned) {
-                                 run[i].start =
-                                     static_cast<EdgeIndex>(
-                                         static_cast<std::int64_t>(
-                                             run[i].start) +
-                                         sdelta);
-                             });
-            stats.shiftedEntries += count;
-        }
-    };
-    for (const Run &r : runs)
-        if (r.dst <= r.srcLo)
-            moveRun(r);
-    for (std::size_t i = runs.size(); i-- > 0;)
-        if (runs[i].dst > runs[i].srcLo)
-            moveRun(runs[i]);
-    for (const Fam &f : fams) {
-        EdgeIndex out = f.dst;
-        forEachVirtualNodeAt(f.vertex, f.newBegin, f.newDegree,
-                             degreeBound_, layout_,
-                             [&](const VirtualNode &node) {
-                                 nodes_[out++] = node;
-                             });
-    }
-    if (new_size < nodes_.size())
-        nodes_.resize(new_size);
-    epoch_ = delta.epoch;
-    stats.epoch = epoch_;
-    stats.entriesAfter = nodes_.size();
-    return stats;
-}
-
 std::vector<VirtualNode>
 IncrementalVirtualizer::canonicalNodes(par::ThreadPool *pool) const
 {
-    if (addressing_ != StartAddressing::Arena)
-        return nodes_;
     requireFreshSlots("canonicalNodes");
     const NodeId n = graph_->numNodes();
     // Dense row offsets plus tight entry offsets, then every entry
@@ -491,14 +242,7 @@ differentialCheck(const DynamicGraph &graph,
     const transform::VirtualGraph rebuilt(
         dense, virtualizer.degreeBound(), virtualizer.layout());
     const auto expect = rebuilt.virtualNodes();
-    std::vector<VirtualNode> canon;
-    std::span<const VirtualNode> got;
-    if (virtualizer.addressing() == StartAddressing::Arena) {
-        canon = virtualizer.canonicalNodes();
-        got = canon;
-    } else {
-        got = virtualizer.virtualNodes();
-    }
+    const std::vector<VirtualNode> got = virtualizer.canonicalNodes();
     if (expect.size() != got.size())
         return "virtual array size " + std::to_string(got.size()) +
                " != rebuilt size " + std::to_string(expect.size());
@@ -515,42 +259,25 @@ differentialCheck(const DynamicGraph &graph,
                    std::to_string(got[i].count) + "/" +
                    std::to_string(expect[i].count);
     }
-    if (virtualizer.addressing() == StartAddressing::Arena) {
-        // The raw entry arena's own invariants: each family sized by
-        // the live degree, entry 0 anchored at the arena segment.
-        for (NodeId v = 0; v < dense.numNodes(); ++v) {
-            const auto fam = virtualizer.familyOf(v);
-            const std::size_t want = familySize(
-                dense.degree(v), virtualizer.degreeBound());
-            const EdgeIndex seg_begin =
-                virtualizer.side() == GraphSide::Out
-                    ? graph.edgeBegin(v)
-                    : graph.inEdgeBegin(v);
-            if (fam.size() != want)
-                return "family of node " + std::to_string(v) +
-                       " has " + std::to_string(fam.size()) +
-                       " entries, expected " + std::to_string(want);
-            if (fam[0].start != seg_begin)
-                return "family of node " + std::to_string(v) +
-                       " anchors at arena slot " +
-                       std::to_string(fam[0].start) +
-                       ", segment begins at " +
-                       std::to_string(seg_begin);
-        }
-        return std::nullopt;
-    }
-    const auto entry_offsets = virtualizer.entryOffsets();
-    EdgeIndex entry_cursor = 0;
+    // The raw entry arena's own invariants: each family sized by the
+    // live degree, entry 0 anchored at the arena segment.
     for (NodeId v = 0; v < dense.numNodes(); ++v) {
-        if (entry_offsets[v] != entry_cursor)
-            return "entry offset of node " + std::to_string(v) +
-                   " diverges: " + std::to_string(entry_offsets[v]) +
-                   " != " + std::to_string(entry_cursor);
-        entry_cursor += familySize(dense.degree(v),
-                                   virtualizer.degreeBound());
+        const auto fam = virtualizer.familyOf(v);
+        const std::size_t want =
+            familySize(dense.degree(v), virtualizer.degreeBound());
+        const EdgeIndex seg_begin = virtualizer.side() == GraphSide::Out
+                                        ? graph.edgeBegin(v)
+                                        : graph.inEdgeBegin(v);
+        if (fam.size() != want)
+            return "family of node " + std::to_string(v) + " has " +
+                   std::to_string(fam.size()) + " entries, expected " +
+                   std::to_string(want);
+        if (fam[0].start != seg_begin)
+            return "family of node " + std::to_string(v) +
+                   " anchors at arena slot " +
+                   std::to_string(fam[0].start) +
+                   ", segment begins at " + std::to_string(seg_begin);
     }
-    if (entry_offsets[dense.numNodes()] != entry_cursor)
-        return "total entry count offset diverges";
     return std::nullopt;
 }
 

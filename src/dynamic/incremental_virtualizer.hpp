@@ -6,19 +6,13 @@
  * layout) — so when a batch touches t of n vertices, only the touched
  * families need re-splitting.
  *
- * Two addressing modes decide what "edge begin" means:
- *
- * - **Dense** (the historical default): entry starts address the dense
- *   CSR edge array that toCsr() would yield. Untouched families after
- *   the first touched vertex shift by the cumulative edge/entry delta,
- *   so every repair pays one suffix sweep.
- * - **Arena**: entry starts address the DynamicGraph slack arena
- *   directly. An untouched family's start never changes when another
- *   vertex grows, so repair is O(changed families) — no suffix sweep,
- *   no dense materialization on the mutate→query path.
- *   canonicalNodes() converts to the dense addressing on demand
- *   (snapshot save, differential proof) and is byte-identical to a
- *   from-scratch VirtualGraph build.
+ * Entry starts address the DynamicGraph slack arena directly, so
+ * "edge begin" is a vertex's arena segment begin. An untouched
+ * family's start never changes when another vertex grows, so repair
+ * is O(changed families) — no suffix sweep, no dense materialization
+ * on the mutate→query path. canonicalNodes() converts to the dense
+ * CSR addressing on demand (snapshot save, differential proof) and is
+ * byte-identical to a from-scratch VirtualGraph build.
  */
 #pragma once
 
@@ -38,23 +32,13 @@ class ThreadPool;
 
 namespace tigr::dynamic {
 
-/** How virtual-node entry starts address the edge array. */
-enum class StartAddressing
-{
-    /** Starts index the dense CSR that toCsr() materializes. */
-    Dense,
-    /** Starts index the DynamicGraph slack arena directly. */
-    Arena,
-};
-
 /** Which orientation of the graph the virtual array splits. */
 enum class GraphSide
 {
     /** Out-edges: the forward arena, degrees are outdegrees. */
     Out,
     /** In-edges: the reverse arena, degrees are indegrees. Entry
-     *  starts address the reverse arena (or, dense, the CSR that
-     *  toReversedCsr() materializes), and repair consumes
+     *  starts address the reverse arena, and repair consumes
      *  EpochDelta::touchedIn. */
     In,
 };
@@ -73,13 +57,8 @@ struct RepairStats
      *  every vertex. */
     std::size_t resplitFamilies = 0;
 
-    /** Untouched entries that only had their start slot shifted
-     *  (dense addressing only; always 0 under arena addressing —
-     *  that is the point of the mode). */
-    std::size_t shiftedEntries = 0;
-
     /** Families moved to the entry-arena tail because they outgrew
-     *  their capacity (arena addressing only). */
+     *  their capacity. */
     std::size_t relocatedFamilies = 0;
 
     std::size_t entriesBefore = 0;
@@ -92,12 +71,11 @@ struct RepairStats
  *
  * Invariant (checked by differentialCheck and the dynamic tests):
  * after applyDelta() for every batch the graph absorbed,
- * canonicalNodes() — which is virtualNodes() verbatim under dense
- * addressing — is element-for-element identical to
+ * canonicalNodes() is element-for-element identical to
  * `VirtualGraph(graph.toCsr(), K, layout).virtualNodes()`, the same
  * entries the snapshot container would persist.
  *
- * Arena addressing keeps a reference to the graph it was built from;
+ * The virtualizer keeps a reference to the graph it was built from;
  * the graph must outlive the virtualizer and not move. After the graph
  * compacts (DynamicGraph::compact()) every arena slot may change, so
  * the caller must call rebase() before the next applyDelta() /
@@ -113,15 +91,13 @@ class IncrementalVirtualizer
     /**
      * Build the initial array from @p graph's current state.
      *
-     * @param pool Optional thread pool: the initial build (and, in
-     *        arena mode, rebase/canonicalization) parallelizes with a
+     * @param pool Optional thread pool: the initial build (like
+     *        rebase and canonicalization) parallelizes with a
      *        bit-identical result for any thread count.
      */
     IncrementalVirtualizer(const DynamicGraph &graph,
                            NodeId degree_bound,
                            transform::EdgeLayout layout,
-                           StartAddressing addressing =
-                               StartAddressing::Dense,
                            par::ThreadPool *pool = nullptr,
                            GraphSide side = GraphSide::Out);
 
@@ -129,19 +105,15 @@ class IncrementalVirtualizer
 
     transform::EdgeLayout layout() const { return layout_; }
 
-    StartAddressing addressing() const { return addressing_; }
-
     GraphSide side() const { return side_; }
 
     /** Epoch of the graph state the array reflects. */
     std::uint64_t epoch() const { return epoch_; }
 
     /**
-     * The maintained entry storage. Dense addressing: exactly the
-     * canonical array. Arena addressing: the raw entry arena —
-     * vertex families live at familyOf(v) and dead slack slots hold
-     * stale entries; use canonicalNodes() for the dense-addressed
-     * array.
+     * The raw entry arena: vertex families live at familyOf(v) and
+     * dead slack slots hold stale entries; use canonicalNodes() for
+     * the dense-addressed array.
      */
     std::span<const transform::VirtualNode> virtualNodes() const
     {
@@ -149,41 +121,29 @@ class IncrementalVirtualizer
     }
 
     /** Live entries across all families (excludes arena slack). */
-    std::size_t numEntries() const
-    {
-        return addressing_ == StartAddressing::Arena
-                   ? liveEntries_
-                   : nodes_.size();
-    }
+    std::size_t numEntries() const { return liveEntries_; }
 
     /** Node @p v's family: its live entries, in emission order. */
     std::span<const transform::VirtualNode>
     familyOf(NodeId v) const
     {
-        if (addressing_ == StartAddressing::Arena)
-            return {nodes_.data() + entryBegin_[v],
-                    static_cast<std::size_t>(entryCount_[v])};
-        return {nodes_.data() + vbase_[v],
-                static_cast<std::size_t>(vbase_[v + 1] - vbase_[v])};
+        return {nodes_.data() + entryBegin_[v],
+                static_cast<std::size_t>(entryCount_[v])};
     }
 
     /** Entry count of node @p v's family. */
     std::size_t
     familyCountOf(NodeId v) const
     {
-        return addressing_ == StartAddressing::Arena
-                   ? static_cast<std::size_t>(entryCount_[v])
-                   : static_cast<std::size_t>(vbase_[v + 1] -
-                                              vbase_[v]);
+        return static_cast<std::size_t>(entryCount_[v]);
     }
 
     /**
      * Canonical dense-addressed copy of the array: vertex-ordered,
-     * slack-free, entry starts indexing the dense CSR toCsr() yields.
-     * Dense addressing returns the maintained array verbatim; arena
-     * addressing converts (each start maps to
-     * dense_begin[v] + (start − arena_begin[v])), parallelized over
-     * @p pool with a bit-identical result for any thread count.
+     * slack-free, entry starts indexing the dense CSR toCsr() yields
+     * (each start maps to dense_begin[v] + (start − arena_begin[v])).
+     * Parallelized over @p pool with a bit-identical result for any
+     * thread count.
      */
     std::vector<transform::VirtualNode>
     canonicalNodes(par::ThreadPool *pool = nullptr) const;
@@ -195,52 +155,37 @@ class IncrementalVirtualizer
         return canonicalNodes(nullptr);
     }
 
-    /** Per-vertex entry offsets (dense addressing only): vertex v's
-     *  family occupies [offset[v], offset[v+1]) in virtualNodes().
-     *  Empty under arena addressing. */
-    std::span<const EdgeIndex> entryOffsets() const { return vbase_; }
-
     /**
      * Repair the array for one applied batch. Deltas must arrive in
      * epoch order with no gaps (each DynamicGraph::apply result,
      * exactly once). The obs trace event `mutation.resplit` reports
      * the returned counters once per batch.
      *
-     * Dense addressing: touched vertices whose degree did not change
-     * (reweight-only) cost nothing; for the rest, one pass from the
-     * first degree-changed vertex re-emits changed families and
-     * shifts the remainder — @p pool parallelizes the offset and
-     * start sweeps. Arena addressing: only changed families are
-     * re-emitted (a family whose degree and segment begin are both
-     * unchanged costs nothing; a segment the graph relocated is
-     * detected by its begin and re-emitted even at equal degree) —
-     * O(touched), no sweep, @p pool unused.
+     * Only changed families are re-emitted (a family whose degree
+     * and segment begin are both unchanged costs nothing; a segment
+     * the graph relocated is detected by its begin and re-emitted
+     * even at equal degree) — O(touched), no sweep.
      *
      * @throws std::invalid_argument on an out-of-order delta.
      * @throws std::logic_error when the graph compacted since the
-     *         last rebase() (arena addressing).
+     *         last rebase().
      */
-    RepairStats applyDelta(const EpochDelta &delta,
-                           par::ThreadPool *pool = nullptr);
+    RepairStats applyDelta(const EpochDelta &delta);
 
     /**
      * Rebuild a tight, vertex-ordered entry arena from the graph's
-     * current geometry — the residual sweep that arena addressing
-     * still needs, run only when slots actually moved wholesale:
-     * after DynamicGraph::compact(), and when shouldCompactEntries()
-     * says the entry arena itself accumulated too much slack.
+     * current geometry — the one residual sweep, run only when slots
+     * actually moved wholesale: after DynamicGraph::compact(), and
+     * when shouldCompactEntries() says the entry arena itself
+     * accumulated too much slack.
      * Resynchronizes epoch() to the graph's current epoch (the rebuilt
      * array reflects the graph as-is, including any batch whose delta
      * never reached applyDelta). Parallelizes over @p pool,
      * bit-identical at any thread count.
-     *
-     * @throws std::logic_error under dense addressing (dense starts
-     *         survive graph compaction unchanged; nothing to rebase).
      */
     RepairStats rebase(par::ThreadPool *pool = nullptr);
 
-    /** Entry-arena slots not backing a live entry (arena addressing;
-     *  0 under dense). */
+    /** Entry-arena slots not backing a live entry. */
     std::size_t
     entrySlackSlots() const
     {
@@ -258,9 +203,6 @@ class IncrementalVirtualizer
     }
 
   private:
-    RepairStats applyDeltaDense(const EpochDelta &delta,
-                                par::ThreadPool *pool);
-    RepairStats applyDeltaArena(const EpochDelta &delta);
     void rebuildArena(par::ThreadPool *pool);
     void requireFreshSlots(const char *what) const;
 
@@ -276,19 +218,12 @@ class IncrementalVirtualizer
 
     NodeId degreeBound_ = 1;
     transform::EdgeLayout layout_ = transform::EdgeLayout::Coalesced;
-    StartAddressing addressing_ = StartAddressing::Dense;
     GraphSide side_ = GraphSide::Out;
     std::uint64_t epoch_ = 0;
     std::vector<transform::VirtualNode> nodes_;
 
-    // Dense addressing:
-    /** n+1 entry offsets into nodes_. */
-    std::vector<EdgeIndex> vbase_;
-    /** n+1 dense edge offsets (the toCsr() row offsets). */
-    std::vector<EdgeIndex> begins_;
-
-    // Arena addressing: per-vertex (begin, count, capacity) into the
-    // nodes_ entry arena, mirroring the graph's edge arena.
+    // Per-vertex (begin, count, capacity) into the nodes_ entry arena,
+    // mirroring the graph's edge arena.
     const DynamicGraph *graph_ = nullptr;
     std::vector<EdgeIndex> entryBegin_;
     std::vector<EdgeIndex> entryCount_;
@@ -305,8 +240,8 @@ class IncrementalVirtualizer
  * @p graph as a dense CSR (reversed via toCsr().reversed() for an
  * In-side virtualizer, so the oracle is independent of the reverse
  * arena it checks), build a VirtualGraph with the virtualizer's
- * (K, layout), and compare entry by entry (canonicalizing first under
- * arena addressing), plus the per-vertex family extents.
+ * (K, layout), and compare the canonicalized array entry by entry,
+ * plus each raw family's size and anchor at its arena segment.
  *
  * @return std::nullopt when byte-identical; otherwise a human-readable
  *         description of the first divergence.

@@ -103,9 +103,8 @@ struct GeneratorSpec
     /** When nonzero, concentrate every edit on vertices with id <
      *  hotSpan: inserts draw their source there, deletes/reweights
      *  sample only edges those vertices own. This is the
-     *  suffix-dominated regime — low-id edits force a dense-addressed
-     *  repair to shift (nearly) the whole suffix, while an
-     *  arena-addressed repair stays O(touched)
+     *  suffix-dominated regime: a full rebuild still pays for every
+     *  vertex, while arena repair stays O(touched)
      *  (bench/mutation_throughput). 0 = uniform over all vertices. */
     NodeId hotSpan = 0;
 };

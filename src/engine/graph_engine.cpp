@@ -57,7 +57,6 @@ usableVirtualizer(const dynamic::IncrementalVirtualizer *virt,
 {
     const bool usable =
         virt != nullptr && !options.dynamicMapping &&
-        virt->addressing() == dynamic::StartAddressing::Arena &&
         virt->side() == side &&
         virt->degreeBound() == options.degreeBound &&
         virt->layout() == layoutOf(options.strategy);
@@ -78,8 +77,8 @@ struct GraphEngine::Context
     std::optional<graph::Csr> ownedGraph;
     /** UDT transformation output (TigrUdt strategy only). */
     std::optional<transform::PhysicalTransformResult> udt;
-    /** Pull contexts: the reversed graph, its schedule and the
-     *  outdegrees — the injected cache entry, or a local build. */
+    /** Pull contexts: the reversed graph and its schedule — the
+     *  injected cache entry, or a local build. */
     std::shared_ptr<const SharedSchedule> reversed;
     /** The graph whose edges the schedule indexes. */
     const graph::Csr *scheduled = nullptr;
@@ -110,8 +109,7 @@ std::size_t
 SharedSchedule::sizeInBytes() const
 {
     return schedule.sizeInBytes() +
-           (reversed ? reversed->sizeInBytes() : 0) +
-           outdegrees.size() * sizeof(EdgeIndex);
+           (reversed ? reversed->sizeInBytes() : 0);
 }
 
 std::shared_ptr<SharedSchedule>
@@ -126,9 +124,6 @@ SharedSchedule::build(const graph::Csr &graph, ScheduleSide side,
     if (side == ScheduleSide::Reversed) {
         entry->reversed = graph.reversed();
         entry->reversedFrom = &graph;
-        entry->outdegrees.resize(graph.numNodes());
-        for (NodeId v = 0; v < graph.numNodes(); ++v)
-            entry->outdegrees[v] = graph.degree(v);
         scheduled = &*entry->reversed;
     }
     if (with_schedule)
@@ -269,8 +264,8 @@ GraphEngine::context(ContextKind kind)
     auto ctx = std::make_unique<Context>();
 
     if (kind == ContextKind::PullReversed) {
-        // The reversed graph, its schedule and the outdegrees come as
-        // one entry: the scheduler's cached one, or built here.
+        // The reversed graph and its schedule come as one entry: the
+        // scheduler's cached one, or built here.
         if (sharedApplies(*ctx, ScheduleSide::Reversed)) {
             ctx->reversed = shared_;
             ctx->buildMs = shared_->buildMs;
@@ -575,11 +570,10 @@ GraphEngine::pagerank(const PageRankOptions &pr_options)
     // even Gunrock's all-active advance does one atomicAdd per edge.
     const std::uint32_t scatter =
         pull && options_.strategy == Strategy::Cusha ? 0 : 1;
-    // Shares use the original outdegrees (Corollary 4).
+    // Shares use the original outdegrees (Corollary 4): the engine's
+    // own input, which a reversed entry was built from.
     auto degree_of = [&](NodeId v) {
-        return arena_  ? arena_->degree(v)
-               : pull ? ctx.reversed->outdegrees[v]
-                      : csr_->degree(v);
+        return arena_ ? arena_->degree(v) : csr_->degree(v);
     };
     RanksResult result = withProvider(ctx, [&](const auto &provider) {
         return runPageRank(provider, degree_of, pull, scatter,

@@ -179,9 +179,6 @@ struct SharedSchedule
     std::optional<graph::Csr> reversed;
     /** Reversed entries only: the input graph that was reversed. */
     const graph::Csr *reversedFrom = nullptr;
-    /** Reversed entries only: the input graph's outdegrees (PageRank's
-     *  rank shares, Corollary 4). */
-    std::vector<EdgeIndex> outdegrees;
 
     ScheduleSide
     side() const
@@ -190,14 +187,13 @@ struct SharedSchedule
     }
 
     /** Heap bytes the entry holds — the schedule, plus a reversed
-     *  entry's graph and outdegrees: what the TransformCache budgets
-     *  against. */
+     *  entry's graph: what the TransformCache budgets against. */
     std::size_t sizeInBytes() const;
 
     /**
      * Build the @p side entry of @p graph (kept by reference) and time
      * it. @p with_schedule = false leaves the schedule empty: dynamic
-     * mapping needs only a reversed entry's graph and outdegrees.
+     * mapping needs only a reversed entry's graph.
      */
     static std::shared_ptr<SharedSchedule>
     build(const graph::Csr &graph, ScheduleSide side, Strategy strategy,

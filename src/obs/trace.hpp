@@ -94,8 +94,11 @@ std::string_view eventKindName(EventKind kind);
  *                        slots
  *   MutationCompact arg: epoch, reclaimed slots, live edges
  *   MutationResplit arg: epoch, repaired vertices, resplit families,
- *                        shifted entries, entries after, reverse
- *                        repaired vertices, reverse resplit families
+ *                        retired slot (always 0), entries after,
+ *                        reverse repaired vertices, reverse resplit
+ *                        families. arg[3] still prints as `shifted=0`
+ *                        so golden traces stay byte-identical until
+ *                        their next re-bless drops it
  *   ArenaServe      label: direction
  *                   arg: arena epoch, maintained forward array,
  *                        maintained reverse array

@@ -120,12 +120,10 @@ GraphStore::mutate(std::string_view name,
         if (current.hasVirtual) {
             state->virtualizer.emplace(state->graph,
                                        current.virtualDegreeBound,
-                                       current.virtualLayout,
-                                       dynamic::StartAddressing::Arena);
+                                       current.virtualLayout);
             state->reverseVirtualizer.emplace(
                 state->graph, current.virtualDegreeBound,
-                current.virtualLayout, dynamic::StartAddressing::Arena,
-                nullptr, dynamic::GraphSide::In);
+                current.virtualLayout, nullptr, dynamic::GraphSide::In);
         }
         state->base = current.epoch;
         entry.dynamic = std::move(state);

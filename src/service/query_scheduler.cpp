@@ -796,7 +796,6 @@ QueryScheduler::applyMutation(const MutationSpec &spec,
                 resplit.arg[0] = applied.epoch;
                 resplit.arg[1] = applied.repair.repairedVertices;
                 resplit.arg[2] = applied.repair.resplitFamilies;
-                resplit.arg[3] = applied.repair.shiftedEntries;
                 resplit.arg[4] = applied.repair.entriesAfter;
                 resplit.arg[5] =
                     applied.reverseRepair.repairedVertices;

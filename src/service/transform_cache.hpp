@@ -51,7 +51,7 @@ struct TransformKey
     std::uint64_t epoch = 0;
     /** Which side of @ref graph the schedule indexes
      *  (engine::scheduleSide). A reversed entry also owns the reversed
-     *  graph and the outdegrees, and is charged for them. */
+     *  graph, and is charged for it. */
     engine::ScheduleSide side = engine::ScheduleSide::Forward;
 
     friend bool operator==(const TransformKey &,
@@ -73,7 +73,7 @@ struct TransformCacheStats
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     /** Bytes currently held (SharedSchedule::sizeInBytes: units +
-     *  offsets arrays, plus reversed entries' graphs and outdegrees). */
+     *  offsets arrays, plus reversed entries' graphs). */
     std::size_t bytes = 0;
     /** Entries currently held. */
     std::size_t entries = 0;

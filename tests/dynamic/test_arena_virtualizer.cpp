@@ -67,9 +67,7 @@ TEST_P(ArenaDifferential, MatchesRebuildAfterEveryBatch)
 {
     const auto [k, layout] = GetParam();
     DynamicGraph dg(skewedGraph(17));
-    IncrementalVirtualizer virt(dg, k, layout,
-                                StartAddressing::Arena);
-    ASSERT_EQ(virt.addressing(), StartAddressing::Arena);
+    IncrementalVirtualizer virt(dg, k, layout);
     ASSERT_EQ(differentialCheck(dg, virt), std::nullopt);
 
     std::uint64_t round = 0;
@@ -81,8 +79,6 @@ TEST_P(ArenaDifferential, MatchesRebuildAfterEveryBatch)
                 dg.apply(generateBatch(dg.toCsr(), spec));
             const RepairStats stats = virt.applyDelta(delta);
             EXPECT_EQ(stats.epoch, delta.epoch);
-            // Arena addressing never shifts untouched entries.
-            EXPECT_EQ(stats.shiftedEntries, 0u);
             ASSERT_EQ(differentialCheck(dg, virt), std::nullopt)
                 << "epoch " << delta.epoch;
             if (virt.shouldCompactEntries()) {
@@ -97,8 +93,7 @@ TEST_P(ArenaDifferential, SurvivesGraphCompactionThroughRebase)
 {
     const auto [k, layout] = GetParam();
     DynamicGraph dg(skewedGraph(23));
-    IncrementalVirtualizer virt(dg, k, layout,
-                                StartAddressing::Arena);
+    IncrementalVirtualizer virt(dg, k, layout);
 
     // Delete-heavy batches until the slack threshold fires.
     GeneratorSpec spec{.seed = 5, .inserts = 2, .deletes = 120,
@@ -135,9 +130,7 @@ TEST_P(ArenaDifferential, CanonicalizationMatchesDenseVirtualizer)
 {
     const auto [k, layout] = GetParam();
     DynamicGraph dg(skewedGraph(29));
-    IncrementalVirtualizer arena(dg, k, layout,
-                                 StartAddressing::Arena);
-    IncrementalVirtualizer dense(dg, k, layout);
+    IncrementalVirtualizer arena(dg, k, layout);
 
     GeneratorSpec spec{.seed = 0, .inserts = 30, .deletes = 20,
                        .reweights = 10};
@@ -146,11 +139,13 @@ TEST_P(ArenaDifferential, CanonicalizationMatchesDenseVirtualizer)
         const EpochDelta delta =
             dg.apply(generateBatch(dg.toCsr(), spec));
         arena.applyDelta(delta);
-        dense.applyDelta(delta);
 
+        // The independent oracle: a from-scratch split of the
+        // materialized CSR.
         const std::vector<transform::VirtualNode> canon =
             arena.nodesCopy();
-        const auto want = dense.virtualNodes();
+        const transform::VirtualGraph rebuilt(dg.toCsr(), k, layout);
+        const auto want = rebuilt.virtualNodes();
         ASSERT_EQ(canon.size(), want.size());
         for (std::size_t i = 0; i < canon.size(); ++i)
             ASSERT_EQ(canon[i], want[i]) << "entry " << i;
@@ -178,8 +173,7 @@ TEST(ArenaVirtualizer, UntouchedFamiliesKeepTheirBytes)
     // O(touched) property stated as memory, not time.
     DynamicGraph dg(skewedGraph(41));
     IncrementalVirtualizer virt(dg, 8,
-                                transform::EdgeLayout::Coalesced,
-                                StartAddressing::Arena);
+                                transform::EdgeLayout::Coalesced);
 
     struct Saved
     {
@@ -200,7 +194,6 @@ TEST(ArenaVirtualizer, UntouchedFamiliesKeepTheirBytes)
                          static_cast<NodeId>(7 + i), 5});
     const RepairStats stats = virt.applyDelta(dg.apply(batch));
     EXPECT_EQ(stats.repairedVertices, 1u);
-    EXPECT_EQ(stats.shiftedEntries, 0u);
 
     for (const Saved &saved : before) {
         const auto fam = virt.familyOf(saved.v);
@@ -226,8 +219,7 @@ TEST(ArenaVirtualizer, RelocationWithUnchangedDegreeStillRepairs)
             coo.add(v, (v + j) % 8, 1 + j);
     DynamicGraph dg(graph::Csr::fromCoo(coo));
     IncrementalVirtualizer virt(dg, 2,
-                                transform::EdgeLayout::Consecutive,
-                                StartAddressing::Arena);
+                                transform::EdgeLayout::Consecutive);
     const EdgeIndex begin_before = dg.edgeBegin(2);
 
     MutationBatch batch;
@@ -250,8 +242,7 @@ TEST(ArenaVirtualizer, SkipsUntouchedDegreePreservingFamilies)
     // the whole touched set short-circuits through the staleness test.
     DynamicGraph dg(skewedGraph(43));
     IncrementalVirtualizer virt(dg, 8,
-                                transform::EdgeLayout::Coalesced,
-                                StartAddressing::Arena);
+                                transform::EdgeLayout::Coalesced);
     GeneratorSpec spec{.seed = 11, .inserts = 0, .deletes = 0,
                        .reweights = 30};
     const EpochDelta delta =
@@ -278,8 +269,7 @@ TEST(ArenaVirtualizer, ParallelBuildRebaseAndCanonicalizeBitIdentical)
     }
 
     IncrementalVirtualizer serial(dg, 8,
-                                  transform::EdgeLayout::Coalesced,
-                                  StartAddressing::Arena);
+                                  transform::EdgeLayout::Coalesced);
     const std::vector<transform::VirtualNode> serial_raw(
         serial.virtualNodes().begin(), serial.virtualNodes().end());
     const std::vector<transform::VirtualNode> serial_canon =
@@ -288,8 +278,7 @@ TEST(ArenaVirtualizer, ParallelBuildRebaseAndCanonicalizeBitIdentical)
     for (const unsigned workers : {1u, 2u, 8u}) {
         par::ThreadPool pool(workers);
         IncrementalVirtualizer virt(
-            dg, 8, transform::EdgeLayout::Coalesced,
-            StartAddressing::Arena, &pool);
+            dg, 8, transform::EdgeLayout::Coalesced, &pool);
         const auto raw = virt.virtualNodes();
         ASSERT_EQ(raw.size(), serial_raw.size());
         for (std::size_t i = 0; i < raw.size(); ++i)
@@ -312,22 +301,13 @@ TEST(ArenaVirtualizer, RejectsOutOfOrderDeltas)
 {
     DynamicGraph dg(skewedGraph(53));
     IncrementalVirtualizer virt(dg, 8,
-                                transform::EdgeLayout::Coalesced,
-                                StartAddressing::Arena);
+                                transform::EdgeLayout::Coalesced);
     GeneratorSpec spec{.seed = 1, .inserts = 5, .deletes = 0,
                        .reweights = 0};
     const EpochDelta delta =
         dg.apply(generateBatch(dg.toCsr(), spec));
     virt.applyDelta(delta);
     EXPECT_THROW(virt.applyDelta(delta), std::invalid_argument);
-}
-
-TEST(ArenaVirtualizer, DenseAddressingRefusesArenaOperations)
-{
-    DynamicGraph dg(skewedGraph(59));
-    IncrementalVirtualizer dense(dg, 8,
-                                 transform::EdgeLayout::Coalesced);
-    EXPECT_THROW(dense.rebase(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------
@@ -347,7 +327,7 @@ class ArenaEngine
 
         explicit Fixture(transform::EdgeLayout layout)
             : dg(weightedGraph(61)),
-              virt(dg, 8, layout, StartAddressing::Arena)
+              virt(dg, 8, layout)
         {
             GeneratorSpec spec{.seed = 0, .inserts = 60,
                                .deletes = 30, .reweights = 20};

@@ -4,9 +4,10 @@
  * batch, the incrementally repaired virtual node array must be
  * element-for-element identical to a from-scratch VirtualGraph rebuild
  * — across K in {2, 8, 32}, both edge layouts, and insert-heavy /
- * delete-heavy / reweight-only / mixed mutation sweeps. Also pins that
- * repair really is incremental (touched vertices only) and that
- * out-of-order deltas are rejected.
+ * delete-heavy / reweight-only / mixed mutation sweeps, with graph
+ * compaction and rebase() in between. Also pins that repair really is
+ * incremental (touched vertices only), that every family has
+ * ceil(d/K) entries, and that out-of-order deltas are rejected.
  */
 #include <cstdint>
 #include <optional>
@@ -70,17 +71,17 @@ TEST_P(IncrementalDifferential, MatchesRebuildAfterEveryBatch)
                 differentialCheck(dg, virt);
             EXPECT_EQ(divergence, std::nullopt)
                 << "round " << round << ": " << divergence.value_or("");
-            // The repaired array must also drop straight into a
-            // VirtualGraph over the materialized CSR.
+            // The repaired array must hold exactly the entries a
+            // VirtualGraph over the materialized CSR holds.
             const graph::Csr dense = dg.toCsr();
             const transform::VirtualGraph rebuilt(dense, k, layout);
-            ASSERT_EQ(virt.virtualNodes().size(),
-                      rebuilt.virtualNodes().size());
+            ASSERT_EQ(virt.numEntries(), rebuilt.virtualNodes().size());
         }
-        // Compaction must be invisible to the virtual array (entry
-        // starts address the dense CSR, not the arena).
+        // Compaction renumbers every arena slot; rebase() re-anchors
+        // the entries and the canonical array is unchanged.
         if (dg.shouldCompact()) {
             dg.compact();
+            virt.rebase();
             EXPECT_EQ(differentialCheck(dg, virt), std::nullopt);
         }
     }
@@ -177,21 +178,19 @@ TEST(IncrementalVirtualizer, EntryOffsetsBracketEveryFamily)
     virt.applyDelta(dg.apply(generateBatch(
         dg.toCsr(), {.seed = 3, .inserts = 30, .deletes = 10})));
 
-    const auto offsets = virt.entryOffsets();
-    ASSERT_EQ(offsets.size(),
-              static_cast<std::size_t>(dg.numNodes()) + 1);
-    EXPECT_EQ(offsets[0], 0u);
-    EXPECT_EQ(offsets[dg.numNodes()], virt.virtualNodes().size());
+    std::size_t total = 0;
     for (NodeId v = 0; v < dg.numNodes(); ++v) {
         SCOPED_TRACE(v);
-        ASSERT_LE(offsets[v], offsets[v + 1]);
-        const EdgeIndex family = offsets[v + 1] - offsets[v];
+        const auto family = virt.familyOf(v);
         const EdgeIndex d = dg.degree(v);
-        const EdgeIndex expected = d == 0 ? 1 : (d + 8 - 1) / 8;
-        EXPECT_EQ(family, expected);
-        for (EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e)
-            EXPECT_EQ(virt.virtualNodes()[e].physicalId, v);
+        const std::size_t expected = d == 0 ? 1 : (d + 8 - 1) / 8;
+        EXPECT_EQ(family.size(), expected);
+        EXPECT_EQ(virt.familyCountOf(v), expected);
+        for (const transform::VirtualNode &node : family)
+            EXPECT_EQ(node.physicalId, v);
+        total += family.size();
     }
+    EXPECT_EQ(total, virt.numEntries());
 }
 
 } // namespace

@@ -43,11 +43,9 @@ class MutatedGraph
   public:
     explicit MutatedGraph(Strategy strategy)
         : graph_(initial()),
-          forward_(graph_, kDegreeBound, layoutOf(strategy),
-                   dynamic::StartAddressing::Arena, nullptr,
+          forward_(graph_, kDegreeBound, layoutOf(strategy), nullptr,
                    dynamic::GraphSide::Out),
-          reverse_(graph_, kDegreeBound, layoutOf(strategy),
-                   dynamic::StartAddressing::Arena, nullptr,
+          reverse_(graph_, kDegreeBound, layoutOf(strategy), nullptr,
                    dynamic::GraphSide::In)
     {
         dynamic::GeneratorSpec spec{.seed = 0, .inserts = 80,

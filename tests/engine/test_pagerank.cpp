@@ -73,11 +73,9 @@ class Runner
             const auto layout = strategy == Strategy::TigrVPlus
                                     ? transform::EdgeLayout::Coalesced
                                     : transform::EdgeLayout::Consecutive;
-            forward_.emplace(dynamic_, 4, layout,
-                             dynamic::StartAddressing::Arena, nullptr,
+            forward_.emplace(dynamic_, 4, layout, nullptr,
                              dynamic::GraphSide::Out);
-            reverse_.emplace(dynamic_, 4, layout,
-                             dynamic::StartAddressing::Arena, nullptr,
+            reverse_.emplace(dynamic_, 4, layout, nullptr,
                              dynamic::GraphSide::In);
         }
     }

@@ -462,8 +462,7 @@ TEST(QuerySchedulerObservability, EngineReuseKeepsSecondRunInfoClean)
 
 // --------------------------------------------------------------------
 // Side-keyed cache entries: pull queries (and CuSha PageRank) key the
-// reversed side, whose entry holds the reversed graph, its schedule and
-// the outdegrees.
+// reversed side, whose entry holds the reversed graph and its schedule.
 
 QuerySpec
 specOf(std::string graph, engine::Algorithm algorithm,
@@ -535,7 +534,7 @@ TEST(QuerySchedulerCache, PullQueryMissesOnItsReversedKeyOnly)
     EXPECT_EQ(stats.entries, 1u);
 
     // The one resident entry is the reversed one, charged for the
-    // reversed graph, its schedule and the outdegrees.
+    // reversed graph and its schedule.
     const graph::Csr &g = sharedStore().at("rmat").graph;
     const auto reference = engine::SharedSchedule::build(
         g, engine::ScheduleSide::Reversed, pull.strategy,
@@ -543,8 +542,7 @@ TEST(QuerySchedulerCache, PullQueryMissesOnItsReversedKeyOnly)
     EXPECT_EQ(stats.bytes, reference->sizeInBytes());
     EXPECT_EQ(reference->sizeInBytes(),
               reference->schedule.sizeInBytes() +
-                  g.reversed().sizeInBytes() +
-                  g.numNodes() * sizeof(EdgeIndex));
+                  g.reversed().sizeInBytes());
     TransformKey key{"rmat",           &g,
                      pull.strategy,    pull.degreeBound,
                      pull.mwVirtualWarp, 0};

@@ -697,8 +697,7 @@ cmdMutate(const CommandLine &cmd, std::ostream &out)
     }
 
     dynamic::DynamicGraph dg(g);
-    dynamic::IncrementalVirtualizer virt(
-        dg, k, layout, dynamic::StartAddressing::Arena, &pool);
+    dynamic::IncrementalVirtualizer virt(dg, k, layout, &pool);
     obs::TraceSink sink;
     dynamic::MutationLog log; // retained only when --log asks for it
     const bool keep_log = cmd.has("log");
@@ -754,8 +753,7 @@ cmdMutate(const CommandLine &cmd, std::ostream &out)
 
         const dynamic::EpochDelta delta = dg.apply(batch);
         const auto repair_start = std::chrono::steady_clock::now();
-        const dynamic::RepairStats repair =
-            virt.applyDelta(delta, &pool);
+        const dynamic::RepairStats repair = virt.applyDelta(delta);
         double repair_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - repair_start)
@@ -773,7 +771,6 @@ cmdMutate(const CommandLine &cmd, std::ostream &out)
         resplit.arg[0] = repair.epoch;
         resplit.arg[1] = repair.repairedVertices;
         resplit.arg[2] = repair.resplitFamilies;
-        resplit.arg[3] = repair.shiftedEntries;
         resplit.arg[4] = repair.entriesAfter;
         sink.record(resplit);
 
@@ -849,12 +846,12 @@ cmdMutate(const CommandLine &cmd, std::ostream &out)
     if (want_metrics) {
         obs::MetricsRegistry registry;
         obs::aggregateTrace(sink, registry);
-        // Arena-addressing repair stats the trace vocabulary predates:
-        // relocations (families that outgrew their reserved entry
-        // slots) and host repair time. The gauge is in microseconds —
-        // the registry is integral — and is the one wall-clock-derived
-        // value in the snapshot; everything else stays bit-identical
-        // across runs and thread counts.
+        // Repair stats the trace vocabulary predates: relocations
+        // (families that outgrew their reserved entry slots) and host
+        // repair time. The gauge is in microseconds — the registry is
+        // integral — and is the one wall-clock-derived value in the
+        // snapshot; everything else stays bit-identical across runs
+        // and thread counts.
         registry.counter("mutation.relocated").add(relocated_total);
         registry.gauge("mutation.repair_us")
             .set(static_cast<std::uint64_t>(repair_ms_total * 1000.0));
