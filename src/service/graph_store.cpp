@@ -21,15 +21,6 @@ elapsedMs(std::chrono::steady_clock::time_point start)
 
 } // namespace
 
-std::optional<transform::VirtualGraph>
-StoredGraph::virtualGraph() const
-{
-    if (!hasVirtual)
-        return std::nullopt;
-    return transform::VirtualGraph::fromArrays(
-        graph, virtualDegreeBound, virtualLayout, virtualNodes);
-}
-
 const StoredGraph &
 GraphStore::add(std::string name, graph::Csr graph, std::string source)
 {
@@ -208,8 +199,6 @@ GraphStore::materialized(const Entry &entry) const
     next->hasVirtual = current.hasVirtual;
     next->virtualDegreeBound = current.virtualDegreeBound;
     next->virtualLayout = current.virtualLayout;
-    if (state.virtualizer)
-        next->virtualNodes = state.virtualizer->nodesCopy();
     next->source = current.source;
     next->epoch = state.base + state.graph.epoch();
     next->loadMs = elapsedMs(start);
@@ -220,14 +209,20 @@ GraphStore::materialized(const Entry &entry) const
     return entry.stored;
 }
 
-std::uint64_t
-GraphStore::epochOf(std::string_view name) const
+const GraphStore::Entry &
+GraphStore::entryAt(std::string_view name) const
 {
     auto it = entries_.find(name);
     if (it == entries_.end())
         throw std::out_of_range("tigr: no graph named '" +
                                 std::string(name) + "' in the store");
-    const Entry &entry = it->second;
+    return it->second;
+}
+
+std::uint64_t
+GraphStore::epochOf(std::string_view name) const
+{
+    const Entry &entry = entryAt(name);
     if (entry.dynamic)
         return entry.dynamic->base + entry.dynamic->graph.epoch();
     return entry.stored->epoch;
@@ -255,11 +250,7 @@ GraphStore::replayLog(std::string_view name, std::istream &log,
 std::shared_ptr<const StoredGraph>
 GraphStore::pin(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-        throw std::out_of_range("tigr: no graph named '" +
-                                std::string(name) + "' in the store");
-    return materialized(it->second);
+    return materialized(entryAt(name));
 }
 
 const StoredGraph *
@@ -272,12 +263,8 @@ GraphStore::peek(std::string_view name) const
 ArenaView
 GraphStore::arenaView(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-        throw std::out_of_range("tigr: no graph named '" +
-                                std::string(name) + "' in the store");
     ArenaView view;
-    const Entry &entry = it->second;
+    const Entry &entry = entryAt(name);
     if (!entry.dynamic)
         return view;
     const DynamicState &state = *entry.dynamic;
@@ -287,7 +274,6 @@ GraphStore::arenaView(std::string_view name) const
     if (state.reverseVirtualizer)
         view.reverse = &*state.reverseVirtualizer;
     view.epoch = state.base + state.graph.epoch();
-    view.staleDense = state.staleDense.load(std::memory_order_acquire);
     return view;
 }
 
@@ -302,11 +288,7 @@ GraphStore::find(std::string_view name) const
 const StoredGraph &
 GraphStore::at(std::string_view name) const
 {
-    const StoredGraph *entry = find(name);
-    if (!entry)
-        throw std::out_of_range("tigr: no graph named '" +
-                                std::string(name) + "' in the store");
-    return *entry;
+    return *materialized(entryAt(name));
 }
 
 bool
@@ -366,7 +348,12 @@ GraphStore::writeSnapshot(std::string_view name,
     snapshot.hasVirtual = pinned->hasVirtual;
     snapshot.virtualDegreeBound = pinned->virtualDegreeBound;
     snapshot.virtualLayout = pinned->virtualLayout;
-    snapshot.virtualNodes = pinned->virtualNodes;
+    // A mutated entry's live virtual array is the maintained forward
+    // virtualizer (canonical, so the bytes match a fresh build); a
+    // never-mutated one still has the array it was loaded with.
+    const ArenaView view = arenaView(name);
+    snapshot.virtualNodes = view.forward ? view.forward->nodesCopy()
+                                         : pinned->virtualNodes;
     snapshot.epoch = pinned->epoch;
     saveSnapshotFile(snapshot, path);
 }

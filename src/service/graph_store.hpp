@@ -6,28 +6,30 @@
  * Each entry is heap-pinned, so the `const graph::Csr &` a lookup
  * returns stays valid until the entry is removed or mutated — engines,
  * schedules, and cache entries all hold pointers into it. Entries
- * loaded from snapshots keep the persisted virtual node array around
- * so callers can rebind it with VirtualGraph::fromArrays instead of
- * rebuilding.
+ * loaded from snapshots keep the persisted virtual node array as
+ * loaded, so callers can rebind it with VirtualGraph::fromArrays
+ * instead of rebuilding.
  *
  * Mutation is copy-on-write: mutate() applies a batch to the entry's
  * DynamicGraph and incrementally repairs its arena-addressed virtual
- * array — O(touched) work, no dense materialization. The dense
- * StoredGraph for the new epoch is built lazily, on the first
- * find/at/pin after a mutation (double-checked against an atomic
- * staleness flag, so the concurrent query phase may race on the first
- * read safely), and swapped in whole. The previous version stays alive
- * for exactly as long as someone pin()ned it, so a reader holding a
- * pinned snapshot never observes a mutation. Cache entries keyed by
+ * arrays — O(touched) work, no dense materialization. From the first
+ * mutation on, the live virtual array is the maintained forward
+ * virtualizer (arenaView), which serves TigrV / TigrV+ queries and
+ * snapshot save. The dense StoredGraph for the new epoch holds the
+ * CSR only; it is built lazily, on the first find/at/pin after a
+ * mutation (double-checked against a private atomic staleness flag),
+ * and swapped in whole. The previous version stays alive for exactly
+ * as long as someone pin()ned it, so a reader holding a pinned
+ * snapshot never observes a mutation. Cache entries keyed by
  * (graph id, epoch) go stale rather than wrong — see
  * TransformCache::invalidateStale.
  *
- * Which calls may materialize a stale dense entry (an O(n + m) toCsr
- * plus a copy of the virtual array): find, at, pin, and checkpoint
- * (which snapshots through pin). Which never do: contains, peek,
- * epochOf, arenaView and mutate — so the whole mutation path, from
- * QueryScheduler::runBatch down to DynamicGraph::apply, reads only the
- * live arena.
+ * Which calls may materialize a stale dense entry (an O(n + m)
+ * toCsr): find, at, pin, and checkpoint (which snapshots through
+ * pin). Which never do: contains, peek, epochOf, arenaView and
+ * mutate — so the whole mutation path, from QueryScheduler::runBatch
+ * down to DynamicGraph::apply, reads only the live arena, and so does
+ * every arena-served query.
  */
 #pragma once
 
@@ -64,7 +66,9 @@ struct StoredGraph
     NodeId virtualDegreeBound = 0;
     transform::EdgeLayout virtualLayout =
         transform::EdgeLayout::Coalesced;
-    /** The persisted virtual node array (empty without one). */
+    /** The persisted virtual node array as loaded (empty without one,
+     *  and in every version materialized after a mutation): the live
+     *  array of a mutated entry is `arenaView(name).forward`. */
     std::vector<transform::VirtualNode> virtualNodes;
     /** Provenance string for stats output ("memory", a file path). */
     std::string source = "memory";
@@ -73,10 +77,6 @@ struct StoredGraph
     /** Mutation epoch this version reflects (0 = as registered; a
      *  snapshot restores the epoch it was saved at). */
     std::uint64_t epoch = 0;
-
-    /** Rebind the persisted virtual array to this entry's graph; empty
-     *  when the entry has none. The result references `graph`. */
-    std::optional<transform::VirtualGraph> virtualGraph() const;
 };
 
 /** What one GraphStore::mutate() call did. */
@@ -106,11 +106,12 @@ struct MutateResult
 
 /**
  * Borrowed view of a mutated entry's live arena state, for serving
- * queries with no dense materialization (see
- * docs/service.md, arena-served queries). `graph` is null when the
- * entry has never been mutated — there is no arena to serve from, and
- * the dense StoredGraph is current by definition. The pointers borrow
- * the entry's DynamicState and stay valid until the next mutate() or
+ * queries with no dense materialization (see docs/service.md,
+ * arena-served queries). `graph` is null when the entry has never been
+ * mutated — there is no arena to serve from, and the dense StoredGraph
+ * is current by definition. Once set it stays set: the arena, not the
+ * dense copy, is the entry's live state. The pointers borrow the
+ * entry's DynamicState and stay valid until the next mutate() or
  * remove() of that entry; like find/at, valid to read only while no
  * mutation is running.
  */
@@ -119,15 +120,13 @@ struct ArenaView
     /** The slack-arena graph, or null (entry never mutated). */
     const dynamic::DynamicGraph *graph = nullptr;
     /** Maintained Out-side virtualizer (null without a virtual
-     *  section). */
+     *  section): the entry's live virtual array. */
     const dynamic::IncrementalVirtualizer *forward = nullptr;
     /** Maintained In-side virtualizer over the reverse arena (null
      *  without a virtual section). */
     const dynamic::IncrementalVirtualizer *reverse = nullptr;
     /** Absolute epoch the arena reflects. */
     std::uint64_t epoch = 0;
-    /** True while the entry's dense StoredGraph lags the arena. */
-    bool staleDense = false;
 };
 
 /** What one GraphStore::checkpoint() call did. */
@@ -340,12 +339,12 @@ class GraphStore
         std::optional<dynamic::IncrementalVirtualizer>
             reverseVirtualizer;
         std::uint64_t base = 0;
-        /** True when `graph` moved past the entry's dense StoredGraph.
-         *  Set by mutate() (which runs only between query batches),
-         *  cleared by the double-checked lazy materialization in
-         *  find/at/pin — the release/acquire pair on this flag is what
-         *  lets concurrent readers race on the first post-mutation
-         *  read safely. */
+        /** True when `graph` moved past the entry's dense StoredGraph:
+         *  the lazy-materialization flag. Set by mutate() (which runs
+         *  only between query batches), cleared by the double-checked
+         *  materialization in find/at/pin — the release/acquire pair
+         *  on this flag is what lets concurrent readers race on the
+         *  first post-mutation read safely. */
         std::atomic<bool> staleDense{false};
     };
 
@@ -360,6 +359,9 @@ class GraphStore
         mutable std::shared_ptr<StoredGraph> stored;
         std::shared_ptr<DynamicState> dynamic;
     };
+
+    /** The entry for @p name. @throws std::out_of_range. */
+    const Entry &entryAt(std::string_view name) const;
 
     /** Materialize the entry's current epoch if it is stale, and
      *  return the dense StoredGraph. */
@@ -379,7 +381,8 @@ class GraphStore
     JournalWriter &ensureJournal(const std::string &name);
 
     /** Snapshot the current version of @p name to @p path
-     *  (crash-consistently, through saveSnapshotFile). */
+     *  (crash-consistently, through saveSnapshotFile): the dense CSR
+     *  plus the live virtual array (see StoredGraph::virtualNodes). */
     void writeSnapshot(std::string_view name,
                        const std::filesystem::path &path);
 

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "graph/io.hpp"
 #include "par/thread_pool.hpp"
@@ -216,8 +215,7 @@ void
 QueryScheduler::runAttempt(
     const QuerySpec &spec, const StoredGraph *entry,
     const std::shared_ptr<const engine::SharedSchedule> &shared,
-    double backoff_sim_ms, QueryResult &result,
-    bool arena_served) const
+    double backoff_sim_ms, QueryResult &result) const
 {
     engine::EngineOptions opts;
     opts.strategy = spec.strategy;
@@ -278,11 +276,11 @@ QueryScheduler::runAttempt(
     // Exercises real allocation-failure paths (raises bad_alloc).
     TIGR_FAULT_POINT(fault::Site::Alloc);
 
-    // Arena-served queries run straight off the live arena: no dense
-    // StoredGraph, no cached schedule, and values bit-identical to the
-    // dense path (the differential fuzz suite's invariant).
+    // Arena-served queries (no dense entry) run straight off the live
+    // arena: no cached schedule, and values bit-identical to the dense
+    // path (the differential fuzz suite's invariant).
     std::optional<engine::GraphEngine> engine;
-    if (arena_served) {
+    if (!entry) {
         const ArenaView view = store_.arenaView(spec.graph);
         engine.emplace(*view.graph, view.forward, view.reverse, opts);
     } else {
@@ -314,15 +312,10 @@ QueryScheduler::runAttempt(
 
 void
 QueryScheduler::execute(
-    const QuerySpec &spec, QueryResult &result,
+    const QuerySpec &spec, const StoredGraph *entry, QueryResult &result,
     std::shared_ptr<const engine::SharedSchedule> shared,
-    std::uint64_t scope_key, bool arena_served) const
+    std::uint64_t scope_key) const
 {
-    // Arena-served queries must not look the dense entry up at all:
-    // at() materializes a stale epoch, which is exactly the work this
-    // path exists to avoid.
-    const StoredGraph *entry =
-        arena_served ? nullptr : &store_.at(spec.graph);
     const RetryPolicy &retry = options_.retry;
     // A warm-up degradation error survives a successful run (the
     // result self-reports what it absorbed); attempt failures that a
@@ -342,7 +335,7 @@ QueryScheduler::execute(
                                 &result.faultTrace);
         try {
             runAttempt(spec, entry, shared, result.backoffSimMs,
-                       result, arena_served);
+                       result);
             // The warm-up miss query paid the shared schedule's build
             // (TransformCache::getOrBuild): it must not report the
             // transform as cached just because the engine reused the
@@ -440,38 +433,30 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
         }
     }
 
-    // Phase 2 — serial transform warm-up, in batch order: the first
-    // query of each (graph, strategy, K, warp, side) key is the miss
-    // that builds, every later one is a hit; pull queries key the
-    // reversed side, whose entry also holds the reversed graph. Worker
-    // interleaving can no longer influence hit attribution or who pays
-    // the build. Warm-up failures never fail a query: they push it
-    // down the degradation ladder (dynamic mapping for the virtual
-    // strategies, an engine-local build otherwise) and the result
-    // self-reports `degraded`.
+    // Phase 2 — serial routing and transform warm-up, in batch order.
+    // A TigrV / TigrV+ query on a mutated graph is served off the live
+    // arena (push over the forward side, pull over the reverse one) and
+    // skips the cache. Every other query looks its dense entry up here,
+    // so a stale epoch materializes in this loop, never in Phase 3. The
+    // first cacheable query of each (graph, strategy, K, warp, side)
+    // key is the miss that builds, every later one is a hit, so worker
+    // interleaving cannot influence hit attribution or who pays the
+    // build. Warm-up failures never fail a query: they push it down the
+    // degradation ladder (dynamic mapping for the virtual strategies,
+    // an engine-local build otherwise) and the result self-reports
+    // `degraded`.
+    std::vector<const StoredGraph *> entries(batch.size(), nullptr);
     std::vector<std::shared_ptr<const engine::SharedSchedule>>
         schedules(batch.size());
-
-    // Phase 2a — serial arena routing, in batch order: a query whose
-    // graph mutated since the last dense materialization is served
-    // straight off the live arena when its strategy can be (TigrV /
-    // TigrV+ — push over the forward arena, pull over the reverse
-    // one). Such queries skip the cache entirely; everything else on a
-    // stale graph needs the dense StoredGraph, which is materialized
-    // off-thread below so this phase never blocks on it. The decision
-    // is a pure function of the batch and the store's epoch state —
-    // never of timing.
-    std::vector<bool> arena_served(batch.size(), false);
-    std::vector<std::string_view> stale_dense;
+    std::unique_ptr<par::ThreadPool> build_pool;
+    if (queued > 0 && buildThreads_ > 1)
+        build_pool = std::make_unique<par::ThreadPool>(buildThreads_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         if (!admitted[i])
             continue;
         const QuerySpec &spec = batch[i];
         const ArenaView view = store_.arenaView(spec.graph);
-        if (!view.graph || !view.staleDense)
-            continue;
-        if (hasDynamicFallback(spec.strategy)) {
-            arena_served[i] = true;
+        if (view.graph && hasDynamicFallback(spec.strategy)) {
             results[i].arenaServed = true;
             if (options_.trace) {
                 obs::TraceEvent event;
@@ -485,31 +470,12 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
                 event.arg[2] = view.reverse ? 1 : 0;
                 results[i].trace.record(event);
             }
-        } else if (std::find(stale_dense.begin(), stale_dense.end(),
-                             std::string_view(spec.graph)) ==
-                   stale_dense.end()) {
-            stale_dense.push_back(spec.graph);
-        }
-    }
-    // Off-thread dense materialization, guarded by the store's
-    // staleDense atomic (double-checked, idempotent): a mutation burst
-    // whose queries are all arena-served spawns nothing and the stale
-    // flag stays set; graphs with direct-CSR consumers rebuild here,
-    // overlapped with warm-up instead of blocking it. Joined before
-    // the concurrent phase, so workers only ever see current entries.
-    std::vector<std::thread> materializers;
-    materializers.reserve(stale_dense.size());
-    for (std::string_view name : stale_dense)
-        materializers.emplace_back([this, name] { store_.pin(name); });
-
-    std::unique_ptr<par::ThreadPool> build_pool;
-    if (queued > 0 && buildThreads_ > 1)
-        build_pool = std::make_unique<par::ThreadPool>(buildThreads_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!admitted[i] || arena_served[i] || !cacheable(batch[i]))
             continue;
-        const QuerySpec &spec = batch[i];
+        }
         const StoredGraph &entry = store_.at(spec.graph);
+        entries[i] = &entry;
+        if (!cacheable(spec))
+            continue;
         const TransformKey key{
             spec.graph,         &entry.graph,
             spec.strategy,      spec.degreeBound,
@@ -538,8 +504,7 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
                 event.arg[1] = retained ? 1 : 0;
                 results[i].trace.record(event);
             }
-            if (!retained && options_.degradeOnCachePressure &&
-                hasDynamicFallback(spec.strategy)) {
+            if (!retained && hasDynamicFallback(spec.strategy)) {
                 // The cache could not keep the schedule (budget or an
                 // injected cache.insert fault): drop our copy too and
                 // run the zero-memory dynamic fallback instead of
@@ -569,8 +534,6 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
         }
     }
     build_pool.reset();
-    for (std::thread &t : materializers)
-        t.join();
 
     // Phase 3 — concurrent execution: workers claim admitted slots via
     // an atomic ticket, longest first — descending simulated cycles last
@@ -601,8 +564,8 @@ QueryScheduler::runBatch(std::span<const QuerySpec> batch)
              t < claims.size();
              t = next.fetch_add(1, std::memory_order_relaxed)) {
             const std::size_t i = claims[t].second;
-            execute(batch[i], results[i], schedules[i],
-                    scopeKey(batch_seq, i), arena_served[i]);
+            execute(batch[i], entries[i], results[i], schedules[i],
+                    scopeKey(batch_seq, i));
         }
     };
     // An ingest-only request (no admitted query) has nothing to drain.

@@ -212,10 +212,11 @@ struct QueryResult
     /** True when the query's transform came out of the TransformCache
      *  (deterministic: decided by the serial warm-up phase). */
     bool cacheHit = false;
-    /** True when the query was served straight off the live arena
-     *  (graph mutated, dense copy stale) — no dense materialization
-     *  and no cache involvement; values are bit-identical to the
-     *  dense path (decided serially, see docs/service.md). */
+    /** True when the query was served straight off the live arena:
+     *  a TigrV / TigrV+ query on a graph that has mutated. No dense
+     *  materialization and no cache involvement; values are
+     *  bit-identical to the dense path (decided serially by strategy,
+     *  see docs/service.md). */
     bool arenaServed = false;
     /** True when the query ran on the degradation ladder (dynamic
      *  mapping or engine-local build after a warm-up failure). The
@@ -271,12 +272,6 @@ struct SchedulerOptions
     RetryPolicy retry;
     /** Per-graph circuit-breaker tuning. */
     BreakerOptions breaker;
-    /** Degrade virtual-strategy queries to the zero-memory dynamic
-     *  mapping when the cache cannot retain their schedule (budget
-     *  exhaustion or an injected cache.insert fault), instead of
-     *  holding an uncached copy per query. Values are identical
-     *  either way. */
-    bool degradeOnCachePressure = true;
     /** Optional metrics registry: runBatch() folds per-batch counters
      *  (admitted/rejected/quarantined/completed/errors/retries/...)
      *  into it from a serial post-pass, so the counts are exact and
@@ -347,22 +342,22 @@ class QueryScheduler
     bool admit(const QuerySpec &spec, QueryResult &result) const;
 
     /** Execute one admitted query (on an engine borrowing the pool)
-     *  with the retry loop. @p scope_key keys the fault scope; @p shared is the
-     *  warm-up's schedule (null = degraded, uncacheable, or
-     *  arena-served). @p arena_served routes the query off the live
-     *  arena instead of the dense StoredGraph. */
-    void execute(const QuerySpec &spec, QueryResult &result,
+     *  with the retry loop. @p entry is the dense StoredGraph Phase 2
+     *  resolved, or null for an arena-served query, which runs off the
+     *  live arena and never touches the dense copy. @p scope_key keys
+     *  the fault scope; @p shared is the warm-up's schedule (null =
+     *  degraded, uncacheable, or arena-served). */
+    void execute(const QuerySpec &spec, const StoredGraph *entry,
+                 QueryResult &result,
                  std::shared_ptr<const engine::SharedSchedule> shared,
-                 std::uint64_t scope_key, bool arena_served) const;
+                 std::uint64_t scope_key) const;
 
-    /** One engine run (attempt body); throws on failure. @p entry is
-     *  null for arena-served attempts (which never touch the dense
-     *  StoredGraph). */
+    /** One engine run (attempt body); throws on failure. A null
+     *  @p entry runs the query off the live arena. */
     void runAttempt(const QuerySpec &spec, const StoredGraph *entry,
                     const std::shared_ptr<const engine::SharedSchedule>
                         &shared,
-                    double backoff_sim_ms, QueryResult &result,
-                    bool arena_served) const;
+                    double backoff_sim_ms, QueryResult &result) const;
 
     /** Apply one mutation (serial phase of the two-span runBatch). */
     void applyMutation(const MutationSpec &spec, MutationResult &result,

@@ -3,11 +3,10 @@
  * Differential mutate→query fuzz shard: seeded random interleavings of
  * mutation batches and query batches where every arena-served result —
  * pull queries off the reverse arena included — must bit-match a
- * dense-rebuild oracle (a second store that applies the same mutations
- * and materializes the dense CSR before every query), at 1/2/8 workers
- * and across all frontier modes. The mutated store is never pinned, so
- * its dense copy stays stale for the whole run and every virtual-
- * strategy query after the first mutation exercises the arena path.
+ * dense-rebuild oracle (a never-mutated store registered over the
+ * mutated graph's CSR before every query batch), at 1/2/8 workers and
+ * across all frontier modes. Every virtual-strategy query after the
+ * first mutation exercises the arena path.
  */
 #include <unistd.h>
 
@@ -141,8 +140,8 @@ struct Record
     bool arenaServed;
 };
 
-/** Replay the interleaving against a never-pinned store: after the
- *  first mutation every virtual-strategy query is arena-served. */
+/** Replay the interleaving against the mutated store: after the first
+ *  mutation every virtual-strategy query is arena-served. */
 std::vector<Record>
 runArenaPath(const std::vector<Round> &plan, unsigned workers,
              std::uint64_t *arena_counter = nullptr)
@@ -167,8 +166,7 @@ runArenaPath(const std::vector<Round> &plan, unsigned workers,
         }
         for (const QueryResult &r : result.queries) {
             EXPECT_EQ(r.outcome, QueryOutcome::Completed) << r.message;
-            // The dense copy is stale from the round's own mutation
-            // and nothing here re-warms it.
+            // Both graphs mutated in this round's own batch.
             EXPECT_TRUE(r.arenaServed);
             EXPECT_FALSE(r.cacheHit);
             records.push_back({r.outcome, r.digest, r.values,
@@ -186,8 +184,8 @@ runArenaPath(const std::vector<Round> &plan, unsigned workers,
 }
 
 /** Replay the same interleaving against the oracle: apply each round's
- *  mutations, pin both graphs (materializing the dense CSR and its
- *  reversal), then run the round's queries on the dense path. */
+ *  mutations, register both graphs' pinned dense CSRs in a never-mutated
+ *  store, then run the round's queries there on the dense path. */
 std::vector<Record>
 runDenseOracle(const std::vector<Round> &plan, unsigned workers)
 {
@@ -205,10 +203,13 @@ runDenseOracle(const std::vector<Round> &plan, unsigned workers)
             round.mutations, std::span<const QuerySpec>{});
         for (const MutationResult &m : applied.mutations)
             EXPECT_TRUE(m.applied) << m.message;
-        store.pin("g");
-        store.pin("p");
+        GraphStore dense;
+        addVirtualEntry(dense, "g", store.pin("g")->graph);
+        dense.add("p", store.pin("p")->graph);
+        TransformCache dense_cache(std::size_t{64} << 20);
+        QueryScheduler oracle(dense, dense_cache, options);
         const std::vector<QueryResult> results =
-            scheduler.runBatch(round.queries);
+            oracle.runBatch(round.queries);
         for (const QueryResult &r : results) {
             EXPECT_EQ(r.outcome, QueryOutcome::Completed) << r.message;
             EXPECT_FALSE(r.arenaServed);
@@ -339,12 +340,10 @@ TEST(MutateQueryFuzz, MidBurstAdmissionNeverMaterializesTheDenseCopy)
     // "p" has no virtual section: the provider enumerates on the fly.
     EXPECT_FALSE(result.queries[1].info.transformCached);
 
-    // The burst is over and neither dense copy materialized: both
-    // views still flag the dense entry stale, and the peeked stored
-    // entry still carries the pre-mutation epoch — the direct witness
-    // that no eager rebuild happened — while the live epoch advanced.
-    EXPECT_TRUE(store.arenaView("g").staleDense);
-    EXPECT_TRUE(store.arenaView("p").staleDense);
+    // The burst is over and neither dense copy materialized: the
+    // peeked stored entry still carries the pre-mutation epoch — the
+    // direct witness that no eager rebuild happened — while the live
+    // epoch advanced.
     ASSERT_NE(store.peek("g"), nullptr);
     EXPECT_EQ(store.peek("g")->epoch, 0u);
     EXPECT_EQ(store.epochOf("g"), 1u);
@@ -401,7 +400,6 @@ TEST(MutateQueryFuzz, IngestBurstsNeverMaterializeTheDenseCopy)
         EXPECT_TRUE(r.arenaServed);
     }
 
-    EXPECT_TRUE(store.arenaView("g").staleDense);
     ASSERT_NE(store.peek("g"), nullptr);
     EXPECT_EQ(store.peek("g")->epoch, 0u);
     EXPECT_EQ(store.epochOf("g"), 4u);

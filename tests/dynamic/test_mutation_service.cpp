@@ -173,14 +173,14 @@ TEST(GraphStoreMutation, RepairsThePersistedVirtualArray)
 
     // The repaired entry array equals a from-scratch rebuild over the
     // published graph.
-    const StoredGraph &entry = store.at("g");
+    const std::vector<transform::VirtualNode> repaired =
+        store.arenaView("g").forward->nodesCopy();
     const transform::VirtualGraph rebuilt(
-        entry.graph, 8, transform::EdgeLayout::Coalesced);
-    ASSERT_EQ(entry.virtualNodes.size(),
-              rebuilt.virtualNodes().size());
-    for (std::size_t i = 0; i < entry.virtualNodes.size(); ++i) {
+        store.at("g").graph, 8, transform::EdgeLayout::Coalesced);
+    ASSERT_EQ(repaired.size(), rebuilt.virtualNodes().size());
+    for (std::size_t i = 0; i < repaired.size(); ++i) {
         SCOPED_TRACE(i);
-        const transform::VirtualNode &a = entry.virtualNodes[i];
+        const transform::VirtualNode &a = repaired[i];
         const transform::VirtualNode &b = rebuilt.virtualNodes()[i];
         EXPECT_EQ(a.physicalId, b.physicalId);
         EXPECT_EQ(a.start, b.start);
@@ -231,15 +231,15 @@ TEST(SchedulerMutation, InvalidatesStaleCacheEntriesByEpoch)
     EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_GE(cache.stats().evictions, 1u);
 
-    // The arena keeps serving while the dense entry stays stale.
+    // The arena keeps serving the mutated graph.
     const auto still = scheduler.runBatch({}, queries);
     EXPECT_TRUE(still.queries[0].arenaServed);
     EXPECT_EQ(still.queries[0].digest, mutated.queries[0].digest);
 
-    // A direct-CSR consumer (UDT cannot run off the arena) forces the
-    // dense epoch to materialize; afterwards the original query
-    // returns to the cache path — with values bit-identical to what
-    // the arena served — and the cache re-warms at the new epoch.
+    // A direct-CSR consumer (UDT cannot run off the arena) materializes
+    // the dense epoch, and so does a pin. Neither changes the route of
+    // the virtual-strategy query: it stays arena-served with the same
+    // values and the same metrics.
     QuerySpec direct = query;
     direct.strategy = engine::Strategy::TigrUdt;
     const auto dense =
@@ -247,13 +247,30 @@ TEST(SchedulerMutation, InvalidatesStaleCacheEntriesByEpoch)
     EXPECT_EQ(dense.queries[0].outcome, QueryOutcome::Completed);
     EXPECT_FALSE(dense.queries[0].arenaServed);
 
-    const auto rewarm = scheduler.runBatch({}, queries);
+    const auto expectStillArenaServed = [&] {
+        const auto again = scheduler.runBatch({}, queries);
+        EXPECT_TRUE(again.queries[0].arenaServed);
+        EXPECT_EQ(again.queries[0].digest, still.queries[0].digest);
+        EXPECT_EQ(again.queries[0].metricsDigest,
+                  still.queries[0].metricsDigest);
+    };
+    expectStillArenaServed();
+    EXPECT_EQ(store.pin("g")->epoch, 1u);
+    expectStillArenaServed();
+    EXPECT_EQ(cache.stats().entries, 0u);
+
+    // A direct-CSR query that the cache serves re-warms it at the new
+    // epoch, with values bit-identical to what the arena served.
+    QuerySpec baseline = query;
+    baseline.strategy = engine::Strategy::Baseline;
+    const std::vector<QuerySpec> baselines{baseline};
+    const auto rewarm = scheduler.runBatch({}, baselines);
     EXPECT_FALSE(rewarm.queries[0].arenaServed);
     EXPECT_FALSE(rewarm.queries[0].cacheHit);
     EXPECT_EQ(rewarm.queries[0].digest, mutated.queries[0].digest);
     EXPECT_EQ(cache.stats().entries, 1u);
 
-    const auto hot = scheduler.runBatch({}, queries);
+    const auto hot = scheduler.runBatch({}, baselines);
     EXPECT_TRUE(hot.queries[0].cacheHit);
 }
 

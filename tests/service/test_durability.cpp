@@ -16,6 +16,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -34,6 +35,7 @@
 #include "service/recovery.hpp"
 #include "service/snapshot.hpp"
 #include "service/transform_cache.hpp"
+#include "transform/virtual_graph.hpp"
 
 namespace tigr::service {
 namespace {
@@ -635,6 +637,49 @@ TEST_F(DurableStore, CheckpointRetiresTheJournalIntoTheSnapshot)
     EXPECT_EQ(reopened.epochOf("g"), 3u);
 }
 
+TEST_F(DurableStore, CheckpointOfAMutatedVirtualEntryWritesTheLiveArray)
+{
+    // A mutated entry's live virtual array is its maintained forward
+    // virtualizer: the checkpoint must persist exactly what a fresh
+    // virtual build over the mutated graph would.
+    constexpr NodeId kBound = 8;
+    constexpr transform::EdgeLayout kLayout =
+        transform::EdgeLayout::Coalesced;
+    const fs::path durable = freshDir(0);
+    saveSnapshotFile(transform::VirtualGraph(seedGraph(), kBound, kLayout),
+                     durable / "g.tgs");
+
+    GraphStore store;
+    store.openDurable(durable);
+    ASSERT_TRUE(store.at("g").hasVirtual);
+    for (std::uint64_t round = 0; round < 3; ++round)
+        store.mutate("g", dynamic::generateBatch(
+                              store.at("g").graph,
+                              {.seed = 70 + round, .inserts = 12,
+                               .deletes = 6, .reweights = 4}));
+    const CheckpointResult cp = store.checkpoint("g");
+    EXPECT_EQ(cp.epoch, 3u);
+
+    const transform::VirtualGraph rebuilt(store.at("g").graph, kBound,
+                                          kLayout);
+    saveSnapshotFile(Snapshot{rebuilt.physical(), true, kBound, kLayout,
+                              {rebuilt.virtualNodes().begin(),
+                               rebuilt.virtualNodes().end()},
+                              cp.epoch},
+                     path("expected.tgs"));
+    const auto bytesOf = [](const fs::path &file) {
+        std::ifstream in(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_EQ(bytesOf(cp.snapshot), bytesOf(path("expected.tgs")));
+
+    GraphStore reopened;
+    const RecoveryReport report = reopened.openDurable(durable);
+    ASSERT_EQ(report.graphs.size(), 1u);
+    EXPECT_EQ(reopened.epochOf("g"), cp.epoch);
+    EXPECT_EQ(reopened.at("g").graph, store.at("g").graph);
+}
+
 TEST_F(DurableStore, CheckpointRequiresADurableStore)
 {
     GraphStore store;
@@ -652,17 +697,18 @@ TEST_F(DurableStore, CheckpointRequiresADurableStore)
 std::vector<std::uint64_t>
 stateDigests(const GraphStore &store, unsigned workers)
 {
-    // Pin the current epoch's dense entry first: a freshly mutated (or
-    // journal-replayed) store would otherwise serve these probes off
-    // the live arena, whose simulated cycle counts differ from the
-    // dense path by arena slot geometry. The digests here witness
+    // Query the current epoch's dense CSR in a never-mutated store: a
+    // mutated (or journal-replayed) store serves these probes off the
+    // live arena, whose simulated cycle counts depend on arena slot
+    // geometry, i.e. on mutation history. The digests here witness
     // *state*, so every probe must measure the same (dense) execution
     // path regardless of how the store arrived at its epoch.
-    store.pin("g");
+    GraphStore dense;
+    dense.add("g", store.pin("g")->graph);
     TransformCache cache(std::size_t{8} << 20);
     SchedulerOptions options;
     options.workers = workers;
-    QueryScheduler scheduler(store, cache, options);
+    QueryScheduler scheduler(dense, cache, options);
     std::vector<QuerySpec> batch(2);
     batch[0].graph = "g";
     batch[0].algorithm = engine::Algorithm::Bfs;

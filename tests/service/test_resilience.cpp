@@ -556,16 +556,6 @@ TEST(Resilience, BudgetExhaustionDegradesWithoutAnyFaultPlan)
         << results[0].message;
     EXPECT_TRUE(results[0].degraded);
     EXPECT_EQ(results[0].digest, clean[0].digest);
-
-    // Opting out of the ladder keeps the uncached schedule instead.
-    SchedulerOptions keep;
-    keep.degradeOnCachePressure = false;
-    TransformCache cache2(1);
-    QueryScheduler scheduler2(sharedStore(), cache2, keep);
-    const auto kept = scheduler2.runBatch(batch);
-    ASSERT_EQ(kept[0].outcome, QueryOutcome::Completed);
-    EXPECT_FALSE(kept[0].degraded);
-    EXPECT_EQ(kept[0].digest, clean[0].digest);
 }
 
 TEST(Resilience, BreakerQuarantinesAndRecoversAcrossBatches)

@@ -82,10 +82,11 @@ TEST(GraphStore, SnapshotEntryKeepsVirtualSection)
     const StoredGraph &entry = store.addSnapshot("r", file);
     EXPECT_EQ(entry.graph, g);
     ASSERT_TRUE(entry.hasVirtual);
-    auto rebound = entry.virtualGraph();
-    ASSERT_TRUE(rebound.has_value());
-    EXPECT_EQ(rebound->numVirtualNodes(), vg.numVirtualNodes());
-    EXPECT_EQ(rebound->degreeBound(), 6u);
+    const auto rebound = transform::VirtualGraph::fromArrays(
+        entry.graph, entry.virtualDegreeBound, entry.virtualLayout,
+        entry.virtualNodes);
+    EXPECT_EQ(rebound.numVirtualNodes(), vg.numVirtualNodes());
+    EXPECT_EQ(rebound.degreeBound(), 6u);
     fs::remove(file);
 }
 

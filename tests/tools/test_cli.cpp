@@ -260,6 +260,49 @@ TEST(CliCommands, RunFrontierFlags)
               0);
 }
 
+TEST(CliCommands, MutateMetricsReplayFromTheLogByteIdentically)
+{
+    TempDir dir;
+    const std::string graph = (dir / "g.csr").string();
+    const std::string log = (dir / "g.tml").string();
+    std::ostringstream generated, live, replayed;
+    ASSERT_EQ(runCommand(parse({"generate", "--type", "rmat", "--nodes",
+                                "512", "--edges", "6000", "--weighted",
+                                "--seed", "9", "--out", graph}),
+                         generated),
+              0);
+    ASSERT_EQ(runCommand(parse({"mutate", graph, "--batches", "3",
+                                "--verify", "--metrics", "--log", log}),
+                         live),
+              0);
+    ASSERT_EQ(runCommand(parse({"mutate", graph, "--apply", log,
+                                "--metrics"}),
+                         replayed),
+              0);
+
+    // The registry is everything after the first blank line; host
+    // repair time has its own line before it.
+    const auto registryOf = [](const std::string &text) {
+        const std::size_t at = text.find("\n\n");
+        return at == std::string::npos ? "" : text.substr(at + 2);
+    };
+    const auto finalOf = [](const std::string &text) {
+        const std::size_t at = text.find("final:");
+        return at == std::string::npos
+                   ? ""
+                   : text.substr(at, text.find('\n', at) - at);
+    };
+    const std::string registry = registryOf(live.str());
+    ASSERT_NE(registry.find("mutation.batches"), std::string::npos)
+        << live.str();
+    EXPECT_EQ(registryOf(replayed.str()), registry);
+    EXPECT_EQ(registry.find("_us"), std::string::npos) << registry;
+    EXPECT_EQ(registry.find("_ms"), std::string::npos) << registry;
+    EXPECT_NE(live.str().find("host repair total: "), std::string::npos);
+    ASSERT_FALSE(finalOf(live.str()).empty()) << live.str();
+    EXPECT_EQ(finalOf(replayed.str()), finalOf(live.str()));
+}
+
 TEST(CliCommands, ErrorsAreReported)
 {
     std::ostringstream out;
