@@ -4,6 +4,7 @@
 #include <cmath>
 #include <chrono>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 
 #include "algorithms/semirings.hpp"
@@ -289,28 +290,33 @@ GraphEngine::context(ContextKind kind)
     // Pick the base graph for this analysis family.
     const graph::Csr *base = &graph;
     if (kind == ContextKind::UnitZero && !allUnitWeights(graph)) {
-        graph::CooEdges coo = graph.toCoo();
-        for (graph::Edge &e : coo.edges())
-            e.weight = 1;
-        ctx->ownedGraph = graph::Csr::fromCoo(coo);
+        ctx->ownedGraph =
+            graph::Csr(graph.rowOffsets(), graph.colIndices(),
+                       std::vector<Weight>(graph.numEdges(), 1));
         base = &*ctx->ownedGraph;
     } else if (kind == ContextKind::SortedRows) {
-        // Row-sorted copy: each node's neighbor list ascending, for
-        // two-pointer set intersections.
-        graph::CooEdges coo(graph.numNodes());
-        coo.reserve(graph.numEdges());
-        std::vector<std::pair<NodeId, Weight>> row;
-        for (NodeId v = 0; v < graph.numNodes(); ++v) {
-            row.clear();
-            for (EdgeIndex e = graph.edgeBegin(v);
-                 e < graph.edgeEnd(v); ++e)
-                row.emplace_back(graph.edgeTarget(e),
-                                 graph.edgeWeight(e));
-            std::sort(row.begin(), row.end());
-            for (auto [target, weight] : row)
-                coo.add(v, target, weight);
-        }
-        ctx->ownedGraph = graph::Csr::fromCoo(coo);
+        // Row-sorted copy: each node's (target, weight) pairs
+        // ascending, for two-pointer set intersections. Rows sort
+        // independently, each in its own slots.
+        std::vector<NodeId> cols = graph.colIndices();
+        std::vector<Weight> weights = graph.weights();
+        par::PerWorker<std::vector<std::pair<NodeId, Weight>>> rows(
+            pool_.get());
+        par::parallelFor(
+            pool_.get(), graph.numNodes(), 512,
+            [&](std::uint64_t v, unsigned worker) {
+                const EdgeIndex begin = graph.edgeBegin(v);
+                const EdgeIndex end = graph.edgeEnd(v);
+                std::vector<std::pair<NodeId, Weight>> &row = rows[worker];
+                row.clear();
+                for (EdgeIndex e = begin; e < end; ++e)
+                    row.emplace_back(cols[e], weights[e]);
+                std::sort(row.begin(), row.end());
+                for (EdgeIndex e = begin; e < end; ++e)
+                    std::tie(cols[e], weights[e]) = row[e - begin];
+            });
+        ctx->ownedGraph = graph::Csr(graph.rowOffsets(), std::move(cols),
+                                     std::move(weights));
         base = &*ctx->ownedGraph;
     }
 

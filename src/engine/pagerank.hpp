@@ -16,15 +16,13 @@
  * iteration would charge — the cancel hook and the per-iteration trace
  * deltas see the same numbers.
  *
- * Float order. A serial run adds every contribution straight into the
- * next ranks, in unit order (and edge order within a unit). With an
- * owned pool, each chunk logs its contributions and a serial replay in
- * chunk order performs the same additions in the same order, so ranks
- * are bit-identical at any thread count; the logs exist only then. A
- * borrowed pool keeps the serial scatter: its helpers come and go,
- * while logging charges every contribution an extra write and a
- * replay. The share pass and the one-time launch simulation use either
- * pool.
+ * Float order. The scatter adds every contribution straight into the
+ * next ranks on the calling thread, in unit order (and edge order
+ * within a unit), so ranks are bit-identical at any thread count. Only
+ * the share pass and the one-time launch simulation use the pool. A
+ * chunk-logged parallel scatter would charge every contribution an
+ * extra write and a serial replay, which costs more than the scatter
+ * it spreads out (docs/parallelism.md).
  */
 #pragma once
 
@@ -32,7 +30,6 @@
 #include <cmath>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "engine/graph_engine.hpp"
@@ -72,37 +69,13 @@ runPageRank(const Provider &provider, DegreeOf &&degree_of, bool pull,
     }
 
     par::ThreadPool *pool = options.pool;
-    const bool logged =
-        pool != nullptr && pool->threads() > 1 && !pool->borrowed();
-    const std::uint64_t grain = par::kDefaultGrain;
 
     RanksResult result;
     result.values.assign(n, 1.0 / n);
     std::vector<Rank> next(n);
     std::vector<Rank> share(n);
     const Rank base = (1.0 - pr.damping) / n;
-    std::vector<std::vector<std::pair<NodeId, Rank>>> chunk_adds(
-        logged ? par::chunkCount(units.size(), grain) : 0);
     std::optional<sim::KernelStats> launch;
-
-    // Hand unit @p unit's contributions to add(node, value), in edge
-    // order.
-    auto contribute = [&](const WorkUnit &unit, auto &&add) {
-        if (pull) {
-            Rank sum = 0.0;
-            for (std::uint32_t j = 0; j < unit.count; ++j)
-                sum += share[provider.edgeTarget(
-                    unit.start + static_cast<EdgeIndex>(unit.stride) * j)];
-            add(unit.valueNode, pr.damping * sum);
-        } else {
-            const Rank s = share[unit.valueNode];
-            for (std::uint32_t j = 0; j < unit.count; ++j)
-                add(provider.edgeTarget(
-                        unit.start +
-                        static_cast<EdgeIndex>(unit.stride) * j),
-                    s);
-        }
-    };
 
     for (unsigned iter = 0; iter < pr.iterations; ++iter) {
         if (options.cancel &&
@@ -114,7 +87,7 @@ runPageRank(const Provider &provider, DegreeOf &&degree_of, bool pull,
         }
         const sim::KernelStats trace_before = result.info.stats;
         par::parallelFor(
-            pool, n, grain, [&](std::uint64_t v, unsigned) {
+            pool, n, par::kDefaultGrain, [&](std::uint64_t v, unsigned) {
                 const EdgeIndex d = degree_of(static_cast<NodeId>(v));
                 share[v] = d == 0 ? 0.0
                            : pull ? result.values[v] /
@@ -123,25 +96,21 @@ runPageRank(const Provider &provider, DegreeOf &&degree_of, bool pull,
                                         static_cast<Rank>(d);
             });
         std::fill(next.begin(), next.end(), base);
-        if (!logged) {
-            for (const WorkUnit &unit : units)
-                contribute(unit,
-                           [&](NodeId t, Rank add) { next[t] += add; });
-        } else {
-            par::forEachChunk(
-                pool, units.size(), grain,
-                [&](std::uint64_t chunk, std::uint64_t begin,
-                    std::uint64_t end, unsigned) {
-                    auto &adds = chunk_adds[chunk];
-                    adds.clear();
-                    for (std::uint64_t tid = begin; tid < end; ++tid)
-                        contribute(units[tid], [&](NodeId t, Rank add) {
-                            adds.emplace_back(t, add);
-                        });
-                });
-            for (const auto &adds : chunk_adds)
-                for (const auto &[target, add] : adds)
-                    next[target] += add;
+        for (const WorkUnit &unit : units) {
+            auto target = [&](std::uint32_t j) {
+                return provider.edgeTarget(
+                    unit.start + static_cast<EdgeIndex>(unit.stride) * j);
+            };
+            if (pull) {
+                Rank sum = 0.0;
+                for (std::uint32_t j = 0; j < unit.count; ++j)
+                    sum += share[target(j)];
+                next[unit.valueNode] += pr.damping * sum;
+            } else {
+                const Rank s = share[unit.valueNode];
+                for (std::uint32_t j = 0; j < unit.count; ++j)
+                    next[target(j)] += s;
+            }
         }
         if (!launch) {
             launch = sim.launch(

@@ -186,15 +186,15 @@ struct EngineOptions
      *  = a pool of N (at most par::kMaxThreads). Every analysis is
      *  chunk-deterministic — results, iteration counts, and simulator
      *  counters are identical for any value (see docs/parallelism.md).
-     *  Ignored when `pool` is set. */
+     *  Two passes stay on the calling thread under any pool: PageRank's
+     *  scatter and all of BC. Ignored when `pool` is set. */
     unsigned threads = 0;
     /** A pool to borrow instead of owning one: the engine's parallel
      *  passes run on the calling thread, and whichever of the pool's
      *  threads are free join their chunk loops (par::ThreadPool's
      *  lending). The engine then owns no threads, and its results are
-     *  the same as at any `threads` value. Two passes stay on the
-     *  calling thread: PageRank's scatter and all of BC. The pool must
-     *  outlive the engine. Null = own a pool sized by `threads`. */
+     *  the same as at any `threads` value. The pool must outlive the
+     *  engine. Null = own a pool sized by `threads`. */
     par::ThreadPool *pool = nullptr;
     /** Frontier representation of worklist iterations: dense bitmap,
      *  compacted sparse list, or the per-iteration adaptive switch.

@@ -56,12 +56,14 @@ struct SplitOptions
     /** Seed for the random entry assignment used by clique/circular
      *  topologies (incoming edges land on a random family member). */
     std::uint64_t seed = 0x5449'4752'5544'5421ULL;
-    /** Host threads for the planning phase (per-family plans are
-     *  independent, so this parallelizes deterministically — the
-     *  paper's Table 7 notes the transformation "can be
-     *  parallelized"). 0 or 1 = serial. Ignored when `pool` is set. */
+    /** Host threads for the planning phase and the output row
+     *  passes (per-family plans and per-node rows are independent, so
+     *  this parallelizes deterministically — the paper's Table 7 notes
+     *  the transformation "can be parallelized"). Clique and circular
+     *  fill rows serially: their random entry draws follow one fixed
+     *  sequence. 0 or 1 = serial. Ignored when `pool` is set. */
     unsigned threads = 1;
-    /** Existing worker pool to plan on (takes precedence over
+    /** Existing worker pool to run on (takes precedence over
      *  `threads`); null = spin up `threads` workers, or run serial. */
     par::ThreadPool *pool = nullptr;
 };
@@ -71,6 +73,9 @@ struct FamilyInfo
 {
     NodeId root;                   ///< The original node id (member 0).
     std::vector<NodeId> members;   ///< All members, root first.
+
+    friend bool operator==(const FamilyInfo &,
+                           const FamilyInfo &) = default;
 };
 
 /** Aggregate statistics of one physical transformation run. */
@@ -81,6 +86,9 @@ struct SplitStats
     std::uint64_t newEdges = 0;        ///< Internal edges introduced.
     EdgeIndex maxDegreeBefore = 0;     ///< Max outdegree of the input.
     EdgeIndex maxDegreeAfter = 0;      ///< Max outdegree of the output.
+
+    friend bool operator==(const SplitStats &,
+                           const SplitStats &) = default;
 };
 
 /** Output of a physical split transformation. */

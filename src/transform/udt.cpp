@@ -28,30 +28,34 @@ UdtTransform::plan(EdgeIndex degree, NodeId degree_bound) const
 
     // Algorithm 1: the queue starts with all original neighbors (here:
     // edge slots); each new node adopts K popped items and re-enters the
-    // queue; the root adopts the final <= K items.
-    std::deque<QueueItem> queue;
+    // queue; the root adopts the final <= K items. Items are only ever
+    // appended and popped from the front, and each new member removes
+    // K-1 items net, so one array with a read cursor holds the whole
+    // queue history.
+    // ceil((degree - K) / (K - 1)) new members, one internal edge each.
+    const std::uint64_t new_members = (degree - 2) / (k - 1);
+    std::vector<QueueItem> queue;
+    queue.reserve(degree + new_members);
     for (std::uint32_t slot = 0; slot < degree; ++slot)
         queue.push_back({false, slot});
+    result.internalEdges.reserve(new_members);
 
+    auto adopt = [&](std::uint32_t member, const QueueItem &item) {
+        if (item.isMember)
+            result.internalEdges.emplace_back(member, item.id);
+        else
+            result.ownerOfEdge[item.id] = member;
+    };
+    std::size_t head = 0;
     std::uint32_t next_member = 1; // 0 is the root
-    while (queue.size() > k) {
+    while (queue.size() - head > k) {
         std::uint32_t member = next_member++;
-        for (NodeId i = 0; i < k; ++i) {
-            QueueItem item = queue.front();
-            queue.pop_front();
-            if (item.isMember)
-                result.internalEdges.emplace_back(member, item.id);
-            else
-                result.ownerOfEdge[item.id] = member;
-        }
+        for (NodeId i = 0; i < k; ++i)
+            adopt(member, queue[head++]);
         queue.push_back({true, member});
     }
-    for (const QueueItem &item : queue) {
-        if (item.isMember)
-            result.internalEdges.emplace_back(0, item.id);
-        else
-            result.ownerOfEdge[item.id] = 0;
-    }
+    for (; head < queue.size(); ++head)
+        adopt(0, queue[head]);
     result.memberCount = next_member;
     return result;
 }

@@ -240,6 +240,68 @@ TEST(Determinism, TrianglesAndBc)
     }
 }
 
+/** FNV-1a over the bytes of @p values and every simulator counter. */
+template <typename T>
+std::uint64_t
+digestOf(const std::vector<T> &values, const sim::KernelStats &stats)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    auto mix = [&](const void *data, std::size_t size) {
+        const auto *bytes = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            hash ^= bytes[i];
+            hash *= 1099511628211ULL;
+        }
+    };
+    mix(values.data(), values.size() * sizeof(T));
+    for (std::uint64_t counter :
+         {stats.launches, stats.threads, stats.warps, stats.cycles,
+          stats.instructions, stats.laneSlots, stats.memTransactions,
+          stats.memAccesses, stats.valueTransactions,
+          stats.busiestSmCycles, stats.totalSmCycles})
+        mix(&counter, sizeof counter);
+    return hash;
+}
+
+TEST(Determinism, UdtSplitsAndSortedRowsKeepTheirCooBuiltResults)
+{
+    // The digests were recorded when the UDT split, TigrUdt's
+    // unit-weight copy and the row-sorted triangle copy were built
+    // through COO lists and Csr::fromCoo. The direct CSR builds must
+    // leave every value and simulator counter where it was, on a graph
+    // big enough for their row passes to cut several chunks.
+    graph::BuildOptions build;
+    build.randomizeWeights = true;
+    build.maxWeight = 24;
+    build.weightSeed = 83;
+    graph::CooEdges coo =
+        graph::rmat({.nodes = 4096, .edges = 30000, .seed = 83});
+    const graph::Csr g = graph::GraphBuilder(build).build(coo);
+    coo.symmetrize();
+    const graph::Csr sym = graph::GraphBuilder(build).build(coo);
+
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        EngineOptions options = optionsFor(Strategy::TigrUdt);
+        options.threads = threads;
+        GraphEngine udt(g, options);
+        const auto bfs = udt.bfs(0);
+        EXPECT_EQ(digestOf(bfs.values, bfs.info.stats),
+                  15105204225631999646ULL);
+        const auto sssp = udt.sssp(0);
+        EXPECT_EQ(digestOf(sssp.values, sssp.info.stats),
+                  15882806282067021064ULL);
+
+        options = optionsFor(Strategy::TigrVPlus);
+        options.threads = threads;
+        GraphEngine virt(sym, options);
+        const auto tri = virt.triangles();
+        EXPECT_EQ(tri.total, 432680u);
+        EXPECT_EQ(digestOf(tri.perNode, tri.info.stats),
+                  7847126295847559860ULL);
+    }
+}
+
 TEST(Determinism, ZeroThreadsResolvesThroughEnv)
 {
     graph::Csr g = rmatGraph(82);

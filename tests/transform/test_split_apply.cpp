@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 #include <set>
+#include <tuple>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "par/thread_pool.hpp"
 #include "ref/oracles.hpp"
 #include "transform/basic_topologies.hpp"
 #include "transform/properties.hpp"
@@ -193,6 +196,159 @@ INSTANTIATE_TEST_SUITE_P(
                       Topology::Star, Topology::Udt),
     [](const auto &info) {
         return std::string(topologyName(info.param));
+    });
+
+/**
+ * apply() as it was built through a COO list: plan every family
+ * serially, emit every edge in node order (a family's original edges
+ * in slot order, then its internal edges in plan order), and
+ * counting-sort the list with Csr::fromCoo. The direct CSR build must
+ * reproduce it byte for byte.
+ */
+PhysicalTransformResult
+cooReferenceApply(const SplitTransform &transform, const graph::Csr &input,
+                  const SplitOptions &options)
+{
+    const NodeId n = input.numNodes();
+    const NodeId k = options.degreeBound;
+    PhysicalTransformResult result;
+    result.originalNodes = n;
+    result.stats.maxDegreeBefore = input.maxOutDegree();
+
+    struct PlannedFamily
+    {
+        NodeId root;
+        SplitPlan plan;
+        NodeId firstNewId;
+    };
+    std::vector<PlannedFamily> planned;
+    std::vector<NodeId> family_index(n, kInvalidNode);
+    NodeId next_id = n;
+    for (NodeId v = 0; v < n; ++v) {
+        if (input.degree(v) <= k)
+            continue;
+        family_index[v] = static_cast<NodeId>(planned.size());
+        planned.push_back({v, transform.plan(input.degree(v), k), next_id});
+        next_id += planned.back().plan.memberCount - 1;
+    }
+    auto memberId = [](const PlannedFamily &f, std::uint32_t m) {
+        return m == 0 ? f.root : f.firstNewId + (m - 1);
+    };
+
+    result.rootOf.resize(next_id);
+    std::iota(result.rootOf.begin(), result.rootOf.begin() + n, 0);
+    for (const PlannedFamily &f : planned) {
+        FamilyInfo info{f.root, {}};
+        for (std::uint32_t m = 0; m < f.plan.memberCount; ++m) {
+            info.members.push_back(memberId(f, m));
+            result.rootOf[memberId(f, m)] = f.root;
+        }
+        result.families.push_back(std::move(info));
+    }
+
+    std::mt19937_64 rng(options.seed);
+    auto entryOf = [&](NodeId v) -> NodeId {
+        NodeId fi = family_index[v];
+        if (fi == kInvalidNode || transform.entryAtRoot())
+            return v;
+        const std::vector<NodeId> &members = result.families[fi].members;
+        std::uniform_int_distribution<std::size_t> pick(
+            0, members.size() - 1);
+        return members[pick(rng)];
+    };
+
+    graph::CooEdges coo(next_id);
+    for (NodeId v = 0; v < n; ++v) {
+        NodeId fi = family_index[v];
+        if (fi == kInvalidNode) {
+            for (EdgeIndex e = input.edgeBegin(v); e < input.edgeEnd(v);
+                 ++e)
+                coo.add(v, entryOf(input.edgeTarget(e)),
+                        input.edgeWeight(e));
+            continue;
+        }
+        const PlannedFamily &f = planned[fi];
+        EdgeIndex base = input.edgeBegin(v);
+        for (EdgeIndex i = 0; i < input.degree(v); ++i)
+            coo.add(memberId(f, f.plan.ownerOfEdge[i]),
+                    entryOf(input.edgeTarget(base + i)),
+                    input.edgeWeight(base + i));
+        for (auto [from, to] : f.plan.internalEdges)
+            coo.add(memberId(f, from), memberId(f, to),
+                    dumbWeight(options.weightPolicy));
+        result.stats.newEdges += f.plan.internalEdges.size();
+        result.stats.newNodes += f.plan.memberCount - 1;
+        ++result.stats.highDegreeNodes;
+    }
+    result.graph = graph::Csr::fromCoo(coo);
+    result.stats.maxDegreeAfter = result.graph.maxOutDegree();
+    return result;
+}
+
+std::unique_ptr<SplitTransform>
+transformNamed(std::string_view name)
+{
+    if (name == "rstar")
+        return std::make_unique<RecursiveStarTransform>();
+    for (Topology t : {Topology::Clique, Topology::Circular,
+                       Topology::Star, Topology::Udt})
+        if (topologyName(t) == name)
+            return makeTransform(t);
+    return nullptr;
+}
+
+class DirectBuild
+    : public ::testing::TestWithParam<std::tuple<std::string_view, NodeId>>
+{
+};
+
+TEST_P(DirectBuild, ByteIdenticalToCooReference)
+{
+    const auto [name, k] = GetParam();
+    const auto transform = transformNamed(name);
+    ASSERT_NE(transform, nullptr);
+    // Enough nodes for the row passes to cut several chunks.
+    graph::BuildOptions build;
+    build.randomizeWeights = true;
+    build.maxWeight = 32;
+    build.weightSeed = 15;
+    const graph::Csr g = graph::GraphBuilder(build).build(
+        graph::rmat({.nodes = 4096, .edges = 24000, .seed = 15}));
+    par::ThreadPool pool(4);
+    for (DumbWeightPolicy policy :
+         {DumbWeightPolicy::Zero, DumbWeightPolicy::Infinity,
+          DumbWeightPolicy::One}) {
+        SplitOptions options{.degreeBound = k, .weightPolicy = policy};
+        const PhysicalTransformResult expected =
+            cooReferenceApply(*transform, g, options);
+        ASSERT_GT(expected.stats.highDegreeNodes, 0u);
+        for (par::ThreadPool *p : {static_cast<par::ThreadPool *>(nullptr),
+                                   &pool}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "policy " << static_cast<int>(policy)
+                         << (p ? ", 4-thread pool" : ", no pool"));
+            options.pool = p;
+            const PhysicalTransformResult got = transform->apply(g, options);
+            EXPECT_EQ(got.graph.rowOffsets(), expected.graph.rowOffsets());
+            EXPECT_EQ(got.graph.colIndices(), expected.graph.colIndices());
+            EXPECT_EQ(got.graph.weights(), expected.graph.weights());
+            EXPECT_EQ(got.originalNodes, expected.originalNodes);
+            EXPECT_EQ(got.rootOf, expected.rootOf);
+            EXPECT_TRUE(got.families == expected.families);
+            EXPECT_TRUE(got.stats == expected.stats);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TopologyByBound, DirectBuild,
+    ::testing::Combine(::testing::Values("udt", "star", "rstar", "cliq",
+                                         "circ"),
+                       ::testing::Values(NodeId{2}, NodeId{3}, NodeId{8},
+                                         NodeId{32})),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param)) + "_K" +
+               std::to_string(std::get<1>(info.param));
     });
 
 TEST(UdtApply, Corollary4IndegreePreservedAtRoots)
